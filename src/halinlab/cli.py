@@ -2,15 +2,17 @@
 
 Exit codes: 0 affirmative/success, 1 proven negative, 2 unknown (budget
 ran out), 10 usage errors, 11 parse errors, 12 precondition violations,
-13 falsification events.  Certificates are re-verified before emission
-even when produced internally; human-readable summaries go to stdout and
-machine-readable documents to --out.
+13 falsification events, 14 internal errors (an unexpected exception).
+Certificates are re-verified before emission even when produced
+internally; human-readable summaries go to stdout and machine-readable
+documents to --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import constructive, extremal, gadgets, hamiltonicity, reduction
 from .certify import (
@@ -44,6 +46,7 @@ EXIT_USAGE = 10
 EXIT_PARSE = 11
 EXIT_PRECONDITION = 12
 EXIT_FALSIFICATION = 13
+EXIT_INTERNAL = 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception:  # a bug, never a verdict: keep it off codes 0, 1 and 2
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

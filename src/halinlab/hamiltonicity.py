@@ -42,7 +42,6 @@ def check_ore_plus(g: Graph) -> OreWitness:
 @dataclass
 class RotationStats:
     rotations: int = 0
-    extensions: int = 0
 
 
 def _crossing_index(g: Graph, seq: list[int], i: int, cyclic: bool) -> int:
@@ -113,7 +112,6 @@ def ore_ham_path(
         stats = RotationStats()
     cap = max_rotations if max_rotations is not None else n * n
     seq = [x] + sorted(set(range(n)) - {x, y}) + [y]
-    stats.extensions += 1
     while True:
         bad = next(
             (i for i in range(n - 1) if not g.has_edge(seq[i], seq[i + 1])), None
@@ -166,7 +164,6 @@ def moon_moser_cycle(
     seq: list[int] = []
     for l, r in zip(left, right):
         seq.extend((l, r))
-    stats.extensions += 1
     k = len(seq)
     while True:
         bad = next(

@@ -15,7 +15,7 @@ argument itself, so it aborts loudly instead of being patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certify import HalinCertificate, TreeCertificate, is_generalized_halin
 from .errors import FalsificationError, PreconditionError
@@ -113,29 +113,13 @@ def build_g_double_prime(gp: Graph, trace: ReductionTrace) -> tuple[Graph, Reduc
     for zp, (g1, g2, g3) in zip(trace.pendant_ids, gadget_ids):
         edges.update([(zp, g1), (zp, g2), (zp, g3), (g1, g2), (g2, g3)])
 
-    full = ReductionTrace(
-        trace.base_n,
-        trace.terminals,
-        trace.z_order,
-        trace.pendant_ids,
-        gadget_ids,
-        frozenset(),
-    )
+    full = replace(trace, gadget_ids=gadget_ids)
     order = full.cycle_order()
-    cycle_edges = set()
-    for a, b in zip(order, order[1:] + order[:1]):
-        cycle_edges.add((a, b) if a < b else (b, a))
+    cycle_edges = {
+        (a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])
+    }
     edges.update(cycle_edges)
-    gpp = Graph(base + 3 * t, edges)
-    full = ReductionTrace(
-        trace.base_n,
-        trace.terminals,
-        trace.z_order,
-        trace.pendant_ids,
-        gadget_ids,
-        frozenset(cycle_edges),
-    )
-    return gpp, full
+    return Graph(base + 3 * t, edges), replace(full, cycle_edges=frozenset(cycle_edges))
 
 
 def reduce_instance(g: Graph, x: int, y: int) -> tuple[Graph, ReductionTrace]:

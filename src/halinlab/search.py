@@ -1,57 +1,73 @@
 """Exact solvers: HIST existence, SGHG existence, Hamiltonian path oracle.
 
-The tree search branches on edges in lexicographic order (include before
-exclude), so the first solution found is also the lexicographically least
-one; canonical-first mode therefore coincides with first-found under the
-single-threaded scheduler.  Degree state per vertex drives the pruning:
-a vertex frozen at tree-degree 2 kills the branch immediately, and in
-SGHG mode the evolving committed-leaf set must stay cyclically feasible
-(two potential-leaf neighbors each, one component) at every node.
+One tree search serves every solver.  `_TreeSearch.hists` branches on
+edges in lexicographic order (include before exclude) with an explicit
+stack, so input size never meets the recursion limit, and yields at every
+spanning HIST; the first one is the lexicographically least, which is why
+the first-found and canonical-first modes coincide.  Degree state per
+vertex drives the pruning: a vertex frozen at tree-degree 2 kills the
+branch immediately, and in SGHG mode the evolving committed-leaf set must
+stay cyclically feasible (two potential-leaf neighbors each, one
+component) at every node.
 
-Budgets make "unknown" a first-class outcome distinct from a proved "none".
+One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
+oracle and the leaf cycles of SGHG search; its nodes count against the
+tree search's budget.
+
+`_solve` maps a search into a `SearchResult` once for every solver.
+Budgets make "unknown" a first-class outcome distinct from a proved
+"none"; a certificate found before the budget ran out is still "found",
+but its `solution_count` stays None, because a count is reported only
+when an exhaustive search completed.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .certify import HalinCertificate, TreeCertificate
 from .errors import BudgetExhausted, PreconditionError
 from .graph import Graph, VertexSetPair
 
-MODE_FIRST = "first"
-MODE_CANONICAL = "canonical"
-MODE_EXHAUSTIVE = "exhaustive"
-
-_MODE_ALIASES = {
-    "first": MODE_FIRST,
-    "canonical": MODE_CANONICAL,
-    "canonical-first": MODE_CANONICAL,
-    "exhaustive": MODE_EXHAUSTIVE,
-    "exhaustive-count": MODE_EXHAUSTIVE,
-}
+#: Accepted search modes.  The exhaustive ones enumerate and count every
+#: solution; the others stop at the first, which is the canonical one.
+MODES = frozenset(
+    {"first", "canonical", "canonical-first", "exhaustive", "exhaustive-count"}
+)
 
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits and mode of one search, checked once, on construction."""
+
     node_limit: int | None = None
     time_limit: float | None = None
-    mode: str = MODE_FIRST
+    mode: str = "first"
 
-    def normalized_mode(self) -> str:
-        try:
-            return _MODE_ALIASES[self.mode]
-        except KeyError:
-            raise PreconditionError(f"unknown search mode {self.mode!r}") from None
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise PreconditionError(f"unknown search mode {self.mode!r}")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise PreconditionError(
+                f"node limit must be at least 1, got {self.node_limit}"
+            )
+        if self.time_limit is not None and self.time_limit <= 0:
+            raise PreconditionError(
+                f"time limit must be positive, got {self.time_limit}"
+            )
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.mode in ("exhaustive", "exhaustive-count")
 
 
 #: No limits, first-found: a complete existence proof when it terminates.
-UNBOUNDED = SearchBudget(mode=MODE_CANONICAL)
+UNBOUNDED = SearchBudget(mode="canonical")
 
 #: No limits, enumerate and count every solution.
-EXHAUSTIVE = SearchBudget(mode=MODE_EXHAUSTIVE)
+EXHAUSTIVE = SearchBudget(mode="exhaustive")
 
 
 @dataclass
@@ -68,38 +84,23 @@ class SearchResult:
         return self.status == "found"
 
 
-class _Stop(Exception):
-    """Internal: first-mode search satisfied."""
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# Steps of one level of the tree search's explicit stack.
+_ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 class _TreeSearch:
-    """Edge include/exclude DFS enumerating spanning HISTs of g.
+    """Edge include/exclude DFS enumerating spanning HISTs of g."""
 
-    `on_solution` fires with the current include stack at every spanning
-    HIST; it may raise _Stop to abort the traversal.
-    """
-
-    def __init__(
-        self,
-        g: Graph,
-        cycle_mode: bool,
-        node_limit: int | None,
-        time_limit: float | None,
-    ):
+    def __init__(self, g: Graph, cycle_mode: bool, budget: SearchBudget):
         self.g = g
         self.n = g.n
         self.edges = g.edges()
         self.m = len(self.edges)
         self.cycle_mode = cycle_mode
-        self.node_limit = node_limit
-        self.deadline = time.monotonic() + time_limit if time_limit else None
+        self.node_limit = budget.node_limit
+        self.deadline = (
+            None if budget.time_limit is None else time.monotonic() + budget.time_limit
+        )
         self.nodes = 0
         n = g.n
         self.deg = [0] * n
@@ -107,14 +108,8 @@ class _TreeSearch:
         for u, v in self.edges:
             self.und[u] += 1
             self.und[v] += 1
-        self.parent = list(range(n))
-        self.rank = [1] * n
-        self.included: list[tuple[int, int]] = []
         self.avail = [g.neighbor_mask(v) for v in range(n)]
         self.full = (1 << n) - 1
-        self.needy = 0  # vertices currently at tree-degree exactly 2
-        self.potential = self.full  # deg <= 1, may still end as a leaf
-        self.committed = 0  # deg == 1 with no undecided edges left
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -126,210 +121,285 @@ class _TreeSearch:
             if time.monotonic() > self.deadline:
                 raise BudgetExhausted("time limit hit")
 
-    def _find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
-        return x
-
     def _connected_avail(self) -> bool:
         avail = self.avail
         visited = 1
         frontier = 1
         while frontier:
             nxt = 0
-            for v in _bits(frontier):
-                nxt |= avail[v]
-            nxt &= ~visited
-            visited |= nxt
-            frontier = nxt
+            while frontier:
+                low = frontier & -frontier
+                nxt |= avail[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~visited
+            visited |= frontier
         return visited == self.full
 
-    def _cycle_feasible(self) -> bool:
-        pot = self.potential
+    def _cycle_feasible(self, pot: int, com: int) -> bool:
+        """Can the committed leaves `com` still lie on one cycle through
+        potential leaves `pot`?"""
         if pot.bit_count() < 3:
             return False
-        com = self.committed
         if not com:
             return True
         masks = self.g._masks
-        for v in _bits(com):
-            if (masks[v] & pot).bit_count() < 2:
+        rest = com
+        while rest:
+            low = rest & -rest
+            if (masks[low.bit_length() - 1] & pot).bit_count() < 2:
                 return False
+            rest ^= low
         if com & (com - 1):  # two or more committed leaves
-            start = com & -com
-            visited = start
-            frontier = start
+            visited = frontier = com & -com
             while frontier:
                 nxt = 0
-                for v in _bits(frontier):
-                    nxt |= masks[v]
-                nxt &= pot & ~visited
-                visited |= nxt
-                frontier = nxt
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = nxt & pot & ~visited
+                visited |= frontier
             if com & ~visited:
                 return False
         return True
 
     # -- search ------------------------------------------------------------
 
-    def run(self, on_solution: Callable[[list[tuple[int, int]]], None]) -> None:
-        if self.n == 0 or self.m < self.n - 1:
+    def hists(self) -> Iterator[list[tuple[int, int]]]:
+        """Yield the include stack at every spanning HIST, in lexicographic
+        order.  The stack and `deg` describe that HIST until the generator
+        resumes."""
+        n1, m = self.n - 1, self.m
+        if self.n == 0 or m < n1 or not self._connected_avail():
             return
-        if not self._connected_avail():
-            return
-        try:
-            self._dfs(0, on_solution)
-        except _Stop:
-            pass
-
-    def _dfs(self, i: int, on_solution) -> None:
-        self.tick()
-        included = self.included
-        n1 = self.n - 1
-        if len(included) == n1:
-            if self.needy == 0:
-                on_solution(included)
-            return
-        if i == self.m:
-            return
-        missing = n1 - len(included)
-        if self.m - i < missing or self.needy > 2 * missing:
-            return
-        u, v = self.edges[i]
-        deg, und = self.deg, self.und
-
-        # include branch
-        ru, rv = self._find(u), self._find(v)
-        if ru != rv:
-            if self.rank[ru] > self.rank[rv]:
-                ru, rv = rv, ru
-            self.parent[ru] = rv
-            self.rank[rv] += self.rank[ru]
-            included.append((u, v))
-            old_potential, old_committed = self.potential, self.committed
+        edges, deg, und, avail = self.edges, self.deg, self.und, self.avail
+        cycle_mode, tick = self.cycle_mode, self.tick
+        connected, cycle_feasible = self._connected_avail, self._cycle_feasible
+        parent = list(range(self.n))
+        rank = [1] * self.n
+        included: list[tuple[int, int]] = []
+        needy = 0  # vertices currently at tree-degree exactly 2
+        potential = self.full  # deg <= 1, may still end as a leaf
+        committed = 0  # deg == 1 with no undecided edges left
+        # Level i decides edge i; these hold its step, the union-find root
+        # it attached, and the leaf masks to restore when it is left.
+        step = [_ENTER] * (m + 1)
+        joined = [0] * m
+        saved = [(0, 0)] * m
+        i = 0
+        while i >= 0:
+            s = step[i]
+            if s == _ENTER:
+                tick()
+                missing = n1 - len(included)
+                if missing == 0:
+                    if needy == 0:
+                        yield included
+                    i -= 1
+                    continue
+                if i == m or m - i < missing or needy > 2 * missing:
+                    i -= 1
+                    continue
+                u, v = edges[i]
+                saved[i] = (potential, committed)
+                ru = u
+                while parent[ru] != ru:
+                    ru = parent[ru]
+                rv = v
+                while parent[rv] != rv:
+                    rv = parent[rv]
+                if ru != rv:
+                    # Include branch.  Level i is revisited to undo it,
+                    # whether or not the search descended into it.
+                    if rank[ru] > rank[rv]:
+                        ru, rv = rv, ru
+                    parent[ru] = rv
+                    rank[rv] += rank[ru]
+                    joined[i] = ru
+                    included.append((u, v))
+                    feasible = True
+                    for w in (u, v):
+                        deg[w] += 1
+                        und[w] -= 1
+                        dw = deg[w]
+                        if dw == 2:
+                            needy += 1
+                            potential &= ~(1 << w)
+                            if und[w] == 0:
+                                feasible = False
+                        elif dw == 3:
+                            needy -= 1
+                        elif dw == 1 and und[w] == 0:
+                            committed |= 1 << w
+                    if feasible and cycle_mode:
+                        feasible = cycle_feasible(potential, committed)
+                    step[i] = _INCLUDED
+                    if feasible:
+                        i += 1
+                        step[i] = _ENTER
+                    continue
+            else:  # back at level i: undo the branch just finished
+                u, v = edges[i]
+                potential, committed = saved[i]
+                if s == _INCLUDED:
+                    for w in (u, v):
+                        dw = deg[w]
+                        if dw == 2:
+                            needy -= 1
+                        elif dw == 3:
+                            needy += 1
+                        deg[w] -= 1
+                        und[w] += 1
+                    included.pop()
+                    ru = joined[i]
+                    rv = parent[ru]
+                    parent[ru] = ru
+                    rank[rv] -= rank[ru]
+                else:
+                    und[u] += 1
+                    und[v] += 1
+                    avail[u] |= 1 << v
+                    avail[v] |= 1 << u
+                    i -= 1
+                    continue
+            # exclude branch of edge i
+            avail[u] &= ~(1 << v)
+            avail[v] &= ~(1 << u)
+            und[u] -= 1
+            und[v] -= 1
             feasible = True
             for w in (u, v):
-                deg[w] += 1
-                und[w] -= 1
-                dw = deg[w]
-                if dw == 2:
-                    self.needy += 1
-                    self.potential &= ~(1 << w)
-                    if und[w] == 0:
+                if und[w] == 0:
+                    dw = deg[w]
+                    if dw == 0 or dw == 2:
                         feasible = False
-                elif dw == 3:
-                    self.needy -= 1
-                elif dw == 1 and und[w] == 0:
-                    self.committed |= 1 << w
-            if feasible and self.cycle_mode:
-                feasible = self._cycle_feasible()
+                    elif dw == 1:
+                        committed |= 1 << w
             if feasible:
-                self._dfs(i + 1, on_solution)
-            for w in (u, v):
-                dw = deg[w]
-                if dw == 2:
-                    self.needy -= 1
-                elif dw == 3:
-                    self.needy += 1
-                deg[w] -= 1
-                und[w] += 1
-            self.potential, self.committed = old_potential, old_committed
-            included.pop()
-            self.parent[ru] = ru
-            self.rank[rv] -= self.rank[ru]
-
-        # exclude branch
-        self.avail[u] &= ~(1 << v)
-        self.avail[v] &= ~(1 << u)
-        und[u] -= 1
-        und[v] -= 1
-        old_committed = self.committed
-        feasible = True
-        for w in (u, v):
-            if und[w] == 0:
-                dw = deg[w]
-                if dw == 0 or dw == 2:
-                    feasible = False
-                elif dw == 1:
-                    self.committed |= 1 << w
-        if feasible:
-            feasible = self._connected_avail()
-        if feasible and self.cycle_mode:
-            feasible = self._cycle_feasible()
-        if feasible:
-            self._dfs(i + 1, on_solution)
-        self.committed = old_committed
-        und[u] += 1
-        und[v] += 1
-        self.avail[u] |= 1 << v
-        self.avail[v] |= 1 << u
+                feasible = connected()
+            if feasible and cycle_mode:
+                feasible = cycle_feasible(potential, committed)
+            step[i] = _EXCLUDED
+            if feasible:
+                i += 1
+                step[i] = _ENTER
 
     def leaf_set(self) -> list[int]:
         return [w for w in range(self.n) if self.deg[w] == 1]
 
+    def leaf_cycles(self) -> Iterator[tuple[int, ...]]:
+        """Hamiltonian cycles through the leaves of the current HIST, one
+        per rotation/reflection class; their nodes count against the budget."""
+        leaves = self.leaf_set()
+        if len(leaves) < 3:  # a one-vertex host: its HIST has no leaves
+            return
+        masks = self.g._masks
+        adj = [
+            sum(1 << j for j, w in enumerate(leaves) if masks[v] >> w & 1)
+            for v in leaves
+        ]
+        for walk in _ham_walks(adj, 0, None, self.tick):
+            yield tuple(leaves[j] for j in walk)
 
-# -- Hamiltonian cycles on a vertex subset -----------------------------------
+
+# -- Hamiltonian walks -------------------------------------------------------
 
 
-def _ham_cycles_on(
-    g: Graph,
-    vertices: list[int],
-    tick: Callable[[], None] | None = None,
+def _ham_walks(
+    adj: Sequence[int],
+    start: int,
+    end: int | None,
+    tick: Callable[[], None] | None,
 ) -> Iterator[tuple[int, ...]]:
-    """Hamiltonian cycles of g[vertices], one per rotation/reflection class.
+    """Hamiltonian walks of the graph with bitmask adjacency `adj`.
 
-    Cycles are emitted in lexicographic order of their normalized vertex
-    sequence (starting at the smallest vertex, smaller neighbor first).
+    With an `end`, yields every Hamiltonian start-end path; without one,
+    every Hamiltonian cycle through `start`, once per reflection (second
+    vertex smaller than the last).  Walks come in DFS order, smaller
+    neighbor first; `tick`, if given, runs once per search node.
     """
-    verts = sorted(vertices)
-    k = len(verts)
-    if k < 3:
-        return
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * k
-    vset = set(verts)
-    for v in verts:
-        for w in g.neighbors(v):
-            if w in vset:
-                adj[index[v]] |= 1 << index[w]
-    full = (1 << k) - 1
-    path = [0]
-
-    def dfs(cur: int, used: int) -> Iterator[tuple[int, ...]]:
+    full = (1 << len(adj)) - 1
+    endbit = 1 << (start if end is None else end)
+    path: list[int] = []
+    children: list[int] = []  # per path position: neighbors still to try
+    used = 0
+    cur = start
+    while True:
+        path.append(cur)
+        used |= 1 << cur
         if tick is not None:
             tick()
+        todo = 0
         if used == full:
-            if adj[cur] & 1 and path[1] < path[-1]:
-                yield tuple(verts[i] for i in path)
-            return
-        free = ~used & full
-        # Any unreached vertex that cannot be entered and left kills this
-        # branch; so does a disconnection of the unreached region.
-        usable = free | (1 << cur) | 1
-        for w in _bits(free):
-            if (adj[w] & usable & ~(1 << w)).bit_count() < 2:
+            # A path enters `end` only as its last vertex, so it ends there.
+            if end is not None or (adj[cur] & endbit and path[1] < path[-1]):
+                yield tuple(path)
+        else:
+            # Any unreached vertex that cannot be entered and left kills
+            # this branch; so does a disconnection of the unreached region.
+            free = ~used & full
+            usable = free | (1 << cur) | endbit
+            todo = adj[cur] & free
+            rest = free
+            while rest:
+                low = rest & -rest
+                need = 1 if low == endbit else 2
+                if (adj[low.bit_length() - 1] & usable & ~low).bit_count() < need:
+                    todo = 0
+                    break
+                rest ^= low
+            if todo:
+                visited = frontier = 1 << cur
+                while frontier:
+                    nxt = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        nxt |= adj[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = nxt & free & ~visited
+                    visited |= frontier
+                if free & ~visited:
+                    todo = 0
+            if used | endbit != full:
+                todo &= ~endbit
+        children.append(todo)
+        while not children[-1]:
+            children.pop()
+            used &= ~(1 << path.pop())
+            if not children:
                 return
-        visited = 1 << cur
-        frontier = visited
-        while frontier:
-            nxt = 0
-            for x in _bits(frontier):
-                nxt |= adj[x]
-            nxt &= free & ~visited
-            visited |= nxt
-            frontier = nxt
-        if free & ~visited:
-            return
-        for nxt in _bits(adj[cur] & free):
-            path.append(nxt)
-            yield from dfs(nxt, used | (1 << nxt))
-            path.pop()
-
-    yield from dfs(0, 1)
+        todo = children[-1]
+        low = todo & -todo
+        children[-1] = todo ^ low
+        cur = low.bit_length() - 1
 
 
 # -- public solvers -----------------------------------------------------------
+
+
+def _solve(g: Graph, budget: SearchBudget, cycle_mode: bool) -> SearchResult:
+    """Run the tree search and map its outcome to a result.  Each HIST is
+    one solution, or in cycle mode each of its leaf cycles is one."""
+    search = _TreeSearch(g, cycle_mode, budget)
+    first = None
+    count = 0
+    try:
+        for tree_edges in search.hists():
+            for cycle in search.leaf_cycles() if cycle_mode else (None,):
+                count += 1
+                if first is None:
+                    tree = TreeCertificate(g.n, tree_edges)
+                    first = tree if cycle is None else HalinCertificate(tree, cycle)
+                    if not budget.exhaustive:
+                        return SearchResult("found", first, search.nodes)
+    except BudgetExhausted:
+        # A found certificate survives a later budget overrun; its count
+        # would be partial, so none is reported.
+        status = "unknown" if first is None else "found"
+        return SearchResult(status, first, search.nodes)
+    if first is None:
+        return SearchResult("none", None, search.nodes, 0)
+    return SearchResult("found", first, search.nodes, count)
 
 
 def find_hist(g: Graph, budget: SearchBudget = UNBOUNDED) -> SearchResult:
@@ -338,104 +408,21 @@ def find_hist(g: Graph, budget: SearchBudget = UNBOUNDED) -> SearchResult:
     Any mode that terminates without a budget overrun proves its answer;
     exhaustive mode additionally counts all solutions.
     """
-    mode = budget.normalized_mode()
-    search = _TreeSearch(g, False, budget.node_limit, budget.time_limit)
-    state = {"first": None, "count": 0}
-
-    def on_solution(tree_edges: list[tuple[int, int]]) -> None:
-        state["count"] += 1
-        if state["first"] is None:
-            state["first"] = TreeCertificate(g.n, tree_edges)
-        if mode != MODE_EXHAUSTIVE:
-            raise _Stop
-
-    try:
-        search.run(on_solution)
-    except BudgetExhausted:
-        if state["first"] is None:
-            return SearchResult("unknown", None, search.nodes)
-        # A found certificate survives a later budget overrun.
-        return SearchResult("found", state["first"], search.nodes, state["count"])
-    if state["first"] is None:
-        return SearchResult("none", None, search.nodes, 0)
-    count = state["count"] if mode == MODE_EXHAUSTIVE else None
-    return SearchResult("found", state["first"], search.nodes, count)
+    return _solve(g, budget, False)
 
 
 def find_sghg(g: Graph, budget: SearchBudget = UNBOUNDED) -> SearchResult:
     """Search for a spanning generalized Halin subgraph certificate."""
-    mode = budget.normalized_mode()
-    search = _TreeSearch(g, True, budget.node_limit, budget.time_limit)
-    state = {"first": None, "count": 0}
-
-    def on_solution(tree_edges: list[tuple[int, int]]) -> None:
-        leaves = search.leaf_set()
-        for cycle in _ham_cycles_on(g, leaves, search.tick):
-            state["count"] += 1
-            if state["first"] is None:
-                state["first"] = HalinCertificate(
-                    TreeCertificate(g.n, list(tree_edges)), cycle
-                )
-            if mode != MODE_EXHAUSTIVE:
-                raise _Stop
-
-    try:
-        search.run(on_solution)
-    except BudgetExhausted:
-        if state["first"] is None:
-            return SearchResult("unknown", None, search.nodes)
-        return SearchResult("found", state["first"], search.nodes, state["count"])
-    if state["first"] is None:
-        return SearchResult("none", None, search.nodes, 0)
-    count = state["count"] if mode == MODE_EXHAUSTIVE else None
-    return SearchResult("found", state["first"], search.nodes, count)
+    return _solve(g, budget, True)
 
 
 def ham_path_oracle(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
     """Exhaustive Hamiltonian (x,y)-path search; None proves nonexistence."""
     if x == y:
         raise PreconditionError("endpoints must differ")
-    n = g.n
-    if not (0 <= x < n and 0 <= y < n):
+    if not (0 <= x < g.n and 0 <= y < g.n):
         raise PreconditionError("endpoint out of range")
-    if n == 2:
-        return (x, y) if g.has_edge(x, y) else None
-    masks = g._masks
-    full = (1 << n) - 1
-    path = [x]
-    ybit = 1 << y
-
-    def dfs(cur: int, used: int) -> tuple[int, ...] | None:
-        if used == full:
-            return tuple(path) if cur == y else None
-        free = ~used & full
-        usable = free | (1 << cur)
-        for w in _bits(free):
-            need = 1 if w == y else 2
-            if (masks[w] & usable & ~(1 << w)).bit_count() < need:
-                return None
-        visited = 1 << cur
-        frontier = visited
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= masks[v]
-            nxt &= free & ~visited
-            visited |= nxt
-            frontier = nxt
-        if free & ~visited:
-            return None
-        for nxt in _bits(masks[cur] & free):
-            if nxt == y and (used | ybit) != full:
-                continue
-            path.append(nxt)
-            hit = dfs(nxt, used | (1 << nxt))
-            if hit is not None:
-                return hit
-            path.pop()
-        return None
-
-    return dfs(x, 1 << x)
+    return next(_ham_walks(g._masks, x, y, None), None)
 
 
 def balanced_leaf_hist_exists(
@@ -444,7 +431,8 @@ def balanced_leaf_hist_exists(
     """True iff some HIST has equally many leaves on both partition sides.
 
     Exhaustive over all HISTs of g; the partition must be a genuine
-    bipartition (spanning, no internal edges).
+    bipartition (spanning, no internal edges).  A budget overrun raises
+    BudgetExhausted.
     """
     left, right = partition.left, partition.right
     if left | right != set(range(g.n)) or left & right:
@@ -452,15 +440,9 @@ def balanced_leaf_hist_exists(
     for u, v in g.edges():
         if (u in left) == (v in left):
             raise PreconditionError(f"edge {u}-{v} inside one partition side")
-    search = _TreeSearch(g, False, budget.node_limit, budget.time_limit)
-    state = {"hit": False}
-
-    def on_solution(_tree_edges) -> None:
+    search = _TreeSearch(g, False, budget)
+    for _ in search.hists():
         leaves = search.leaf_set()
-        in_left = sum(1 for v in leaves if v in left)
-        if 2 * in_left == len(leaves):
-            state["hit"] = True
-            raise _Stop
-
-    search.run(on_solution)
-    return state["hit"]
+        if 2 * sum(1 for v in leaves if v in left) == len(leaves):
+            return True
+    return False

@@ -44,6 +44,36 @@ def test_solve_requires_budget(k4):
     assert main(["solve", "sghg", "--graph", k4]) == 12
 
 
+@pytest.mark.parametrize("limit", [["--node-limit", "-5"], ["--time-limit", "0"]])
+def test_solve_rejects_invalid_budget(k4, limit):
+    assert main(["solve", "hist", "--graph", k4, *limit]) == 12
+
+
+def test_solve_prints_only_complete_counts(tmp_path, capsys):
+    path = tmp_path / "k7.g6"
+    path.write_bytes(emit_graph6(Graph.complete(7)) + b"\n")
+    solve = ["solve", "hist", "--graph", str(path), "--mode", "exhaustive"]
+    assert main([*solve, "--node-limit", "2000"]) == 0
+    assert "solutions:" not in capsys.readouterr().out
+    assert main([*solve, "--node-limit", "100000"]) == 0
+    assert "solutions: 427" in capsys.readouterr().out
+
+
+def test_solve_large_star(tmp_path):
+    path = tmp_path / "star.g6"
+    path.write_bytes(emit_graph6(Graph.star(1500)) + b"\n")
+    assert main(["solve", "hist", "--graph", str(path), "--node-limit", "10000"]) == 0
+
+
+def test_unexpected_exception_exit_code(k4, monkeypatch, capsys):
+    def broken(*_args):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr("halinlab.cli.find_hist", broken)
+    assert main(["solve", "hist", "--graph", k4, "--node-limit", "10"]) == 14
+    assert "RuntimeError: solver bug" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["solve", "nonsense", "--graph", "x"])

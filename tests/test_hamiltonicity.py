@@ -92,6 +92,21 @@ def test_ore_ham_path_larger_instance():
     assert verify_walk(g, p, closed=False, endpoints=(7, 31))
 
 
+@pytest.mark.parametrize(
+    "walk, closed, endpoints",
+    [
+        ((0, 2, 1, 3), False, None),  # 0-2 is not an edge
+        ((0, 1, 2, 1), False, None),  # repeats 1, misses 3
+        ((0, 1, 2, 3), False, (3, 0)),  # wrong endpoints
+        ((0, 1, 2, 3), True, None),  # 3-0 does not close the cycle
+    ],
+)
+def test_verify_walk_rejects(walk, closed, endpoints):
+    p4 = Graph.path(4)
+    assert verify_walk(p4, (0, 1, 2, 3), closed=False, endpoints=(0, 3))
+    assert not verify_walk(p4, walk, closed=closed, endpoints=endpoints)
+
+
 def test_moon_moser_examples():
     k33 = Graph.complete_bipartite(3, 3)
     c = moon_moser_cycle(k33, bipartition(k33))

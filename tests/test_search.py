@@ -7,6 +7,7 @@ from halinlab.errors import PreconditionError
 from halinlab.graph import Graph, VertexSetPair, bipartition
 from halinlab.search import (
     EXHAUSTIVE,
+    UNBOUNDED,
     SearchBudget,
     balanced_leaf_hist_exists,
     find_hist,
@@ -91,6 +92,58 @@ def test_budget_monotonicity():
         for limit in (1, 10, 100, 1000, 10**8):
             partial = find_sghg(g, SearchBudget(node_limit=limit, mode="first"))
             assert partial.status in ("unknown", final.status)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"node_limit": 0},
+        {"node_limit": -5},
+        {"time_limit": 0},
+        {"time_limit": -1.0},
+        {"mode": "fastest"},
+    ],
+)
+def test_budget_rejects_invalid_values(kwargs):
+    with pytest.raises(PreconditionError):
+        SearchBudget(**kwargs)
+
+
+def test_budget_accepts_every_mode_string():
+    modes = ["first", "canonical", "canonical-first", "exhaustive", "exhaustive-count"]
+    assert [SearchBudget(mode=m).exhaustive for m in modes] == [False] * 3 + [True] * 2
+
+
+def test_budget_overrun_reports_no_partial_count():
+    k7 = Graph.complete(7)
+    partial = find_hist(k7, SearchBudget(node_limit=2000, mode="exhaustive"))
+    assert partial.found and partial.solution_count is None
+    assert is_hist(k7, partial.certificate)
+    assert find_hist(k7, EXHAUSTIVE).solution_count == 427
+
+
+# Node counts of the lexicographic search; a change to the branching order,
+# the pruning or the leaf-cycle kernel's ticks moves them.
+@pytest.mark.parametrize(
+    "solver, g, budget, status, nodes, count",
+    [
+        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 17_528, 0),
+        (find_sghg, Graph.complete(6), EXHAUSTIVE, "found", 2_858, 342),
+        (find_hist, Graph.complete(5), EXHAUSTIVE, "found", 131, 5),
+        (find_sghg, Graph.complete(7), UNBOUNDED, "found", 13, None),
+        (find_hist, Graph.complete_bipartite(3, 4), UNBOUNDED, "found", 10, None),
+    ],
+)
+def test_node_counts_are_pinned(solver, g, budget, status, nodes, count):
+    r = solver(g, budget)
+    assert (r.status, r.nodes, r.solution_count) == (status, nodes, count)
+
+
+def test_large_inputs_stay_clear_of_the_recursion_limit():
+    star = Graph.star(1500)
+    r = find_hist(star)
+    assert r.found and r.certificate.edges == frozenset(star.edges())
+    assert ham_path_oracle(Graph.path(1500), 0, 1499) == tuple(range(1500))
 
 
 def test_ham_path_oracle_examples():
