@@ -2,7 +2,8 @@
 
 Exit codes: 0 affirmative/success, 1 proven negative, 2 unknown (budget
 ran out), 10 usage errors, 11 parse errors, 12 precondition violations,
-13 falsification events, 14 internal errors (an unexpected exception).
+13 falsification events only (malformed input always gets 10-12), 14
+internal errors (an unexpected exception).
 Certificates are re-verified before emission even when produced
 internally; human-readable summaries go to stdout and machine-readable
 documents to --out.
@@ -19,6 +20,7 @@ from .certify import (
     HalinCertificate,
     StarPack,
     TreeCertificate,
+    check_tree,
     is_generalized_halin,
     is_hist,
     verify_star_pack,
@@ -64,6 +66,17 @@ def _write_out(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _vertex_set(text: str) -> set[int]:
+    """argparse type: a comma-separated list of vertex ids, e.g. 0,1,2."""
+    try:
+        ids = {int(v) for v in text.split(",")}
+        if min(ids) >= 0:
+            return ids
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a list of vertex ids: {text!r}")
+
+
 def _budget_from(args, required: bool) -> SearchBudget:
     if required and args.node_limit is None and args.time_limit is None:
         raise PreconditionError(
@@ -99,7 +112,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check a certificate against a host graph")
     _add_graph_args(p)
     p.add_argument("--cert", required=True)
-    p.add_argument("--centers", default=None, help="required centers, e.g. 0,1,2")
+    p.add_argument(
+        "--centers", type=_vertex_set, help="required centers, e.g. 0,1,2"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="search for a certificate")
@@ -170,8 +185,8 @@ def build_parser() -> _Parser:
 
     b = bsub.add_parser("starpack")
     _add_graph_args(b)
-    b.add_argument("--centers", required=True)
-    b.add_argument("--tips-from", required=True)
+    b.add_argument("--centers", type=_vertex_set, required=True)
+    b.add_argument("--tips-from", type=_vertex_set, required=True)
     b.add_argument("--arity", type=int, required=True)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_build_starpack)
@@ -228,10 +243,7 @@ def cmd_verify(args) -> int:
             [(s["center"], s["tips"]) for s in doc.payload["stars"]],
             doc.payload["arity"],
         )
-        centers = None
-        if args.centers:
-            centers = {int(v) for v in args.centers.split(",")}
-        verdict = verify_star_pack(g, pack, centers)
+        verdict = verify_star_pack(g, pack, args.centers)
     else:
         raise PreconditionError(f"cannot verify documents of kind {doc.kind!r}")
     if verdict:
@@ -369,13 +381,11 @@ def cmd_build_matching(args) -> int:
 
 def cmd_build_starpack(args) -> int:
     g = _load(args)
-    centers = {int(v) for v in args.centers.split(",")}
-    tips = {int(v) for v in args.tips_from.split(",")}
-    pack = constructive.star_pack(g, centers, tips, args.arity)
+    pack = constructive.star_pack(g, args.centers, args.tips_from, args.arity)
     if pack is None:
         print("no star pack exists")
         return EXIT_NEGATIVE
-    if not verify_star_pack(g, pack, centers):
+    if not verify_star_pack(g, pack, args.centers):
         raise FalsificationError("star pack failed verification")
     print(f"star pack found: {len(pack.stars)} stars of arity {args.arity}")
     _write_out(args.out, emit_certificate(pack.to_document(g.n)))
@@ -390,6 +400,9 @@ def cmd_gadget(args) -> int:
         "forest": gadgets.insertion_forest,
     }[args.op]
     result = builder(inst)
+    verdict = check_tree(inst.host, result.certificate)
+    if not verdict:
+        raise FalsificationError(f"gadget output failed verification: {verdict.code}")
     for key in sorted(result.counts):
         print(f"{key}: {result.counts[key]}")
     _write_out(args.out, emit_certificate(result.certificate.to_document()))

@@ -92,6 +92,8 @@ def dense_hist(h: Graph, params: DenseHistParams) -> TreeCertificate:
     root = params.root
     if not 0 <= root < n:
         raise PreconditionError("root out of range")
+    if not math.isfinite(params.alpha_prime):
+        raise PreconditionError(f"alpha_prime must be finite, got {params.alpha_prime}")
     floor = params.min_degree_floor(n)
     if h.min_degree() < floor:
         raise PreconditionError(
@@ -161,19 +163,44 @@ def _fill_blocks(total: int, minima: list[int], caps: list[int]) -> list[int]:
     rem = total - sum(sizes)
     if rem < 0:
         raise PreconditionError("blocks over-constrained")
+    if rem > sum(max(cap - size, 0) for size, cap in zip(sizes, caps)):
+        raise PreconditionError("block capacity exhausted")
     i = 0
-    guard = 0
     while rem > 0:
         if sizes[i] < caps[i]:
             sizes[i] += 1
             rem -= 1
-            guard = 0
-        else:
-            guard += 1
-            if guard > len(sizes):
-                raise PreconditionError("block capacity exhausted")
         i = (i + 1) % len(sizes)
     return sizes
+
+
+def _chained_blocks(hubs: list[int], pool: list[int], bound: int) -> list[Edge]:
+    """Spine edges of the chained blocks hanging off `hubs`.
+
+    The first len(hubs) - 1 pool vertices form the chain; block i holds
+    chain[i-1], chain[i] and fresh pool vertices up to its filled size
+    (at least 3, at most `bound`), so consecutive blocks share one chain
+    vertex and the whole pool is used.
+    """
+    d = len(hubs)
+    chain, free = pool[: d - 1], iter(pool[d - 1 :])
+    sizes = _fill_blocks(len(pool) + d - 1, [3] * d, [bound] * d)
+    edges: list[Edge] = []
+    for i, (hub, size) in enumerate(zip(hubs, sizes)):
+        members = chain[max(i - 1, 0) : i + 1]
+        members += [next(free) for _ in range(size - len(members))]
+        edges.extend((hub, m) for m in members)
+    return edges
+
+
+def _hang(anchors: list[int], pool: list[int], sizes: list[int]) -> list[Edge]:
+    """Each anchor takes the next `size` pool vertices, in order."""
+    edges: list[Edge] = []
+    pos = 0
+    for anchor, size in zip(anchors, sizes):
+        edges.extend((anchor, v) for v in pool[pos : pos + size])
+        pos += size
+    return edges
 
 
 def bipartite_hist(a_size: int, b_size: int, plan: BipartiteHistPlan) -> TreeCertificate:
@@ -188,37 +215,17 @@ def bipartite_hist(a_size: int, b_size: int, plan: BipartiteHistPlan) -> TreeCer
     if reason is not None:
         raise PreconditionError(f"infeasible plan: {reason}")
     d, dd, ell = plan.hub_count, plan.block_bound, plan.imbalance
-    a_hubs = list(range(d))
     b_all = list(range(a_size, a_size + b_size))
-    chain = b_all[: d - 1]
-    b_free = b_all[d - 1 :]
-
-    # Chained B blocks: block i holds chain[i-1], chain[i] and fresh ids.
-    sizes = _fill_blocks(b_size + d - 1, [3] * d, [dd] * d)
-    edges: list[Edge] = []
-    free_it = iter(b_free)
-    for i in range(d):
-        members: list[int] = []
-        if i > 0:
-            members.append(chain[i - 1])
-        if i < d - 1:
-            members.append(chain[i])
-        while len(members) < sizes[i]:
-            members.append(next(free_it))
-        edges.extend((a_hubs[i], m) for m in members)
+    edges = _chained_blocks(list(range(d)), b_all, dd)
 
     # Cover hubs on the B side: chain vertices first, then the smallest
     # fresh ids; chain hubs already carry two spine edges, so their cover
     # blocks stay one below the bound.
-    cover_hubs = chain + b_free[: ell + 1]
+    cover_hubs = b_all[: d + ell]
     cover = list(range(d, a_size))
     caps = [dd - 1] * (d - 1) + [dd] * (ell + 1)
-    cover_sizes = _fill_blocks(len(cover), [2] * len(cover_hubs), caps)
-    pos = 0
-    for hub, size in zip(cover_hubs, cover_sizes):
-        for v in cover[pos : pos + size]:
-            edges.append((v, hub))
-        pos += size
+    cover_sizes = _fill_blocks(len(cover), [2] * (d + ell), caps)
+    edges += _hang(cover_hubs, cover, cover_sizes)
     return TreeCertificate(a_size + b_size, edges)
 
 
@@ -288,59 +295,33 @@ def tripartite_hist(
     reason = tripartite_plan_error(a_size, b_size, f_size, l, plan)
     if reason is not None:
         raise PreconditionError(f"infeasible plan: {reason}")
-    d, da, df = plan.hub_count, plan.a_block_bound, plan.f_block_bound
+    d, da = plan.hub_count, plan.a_block_bound
     lp = a_size + f_size - b_size - l
 
     a_ids = list(range(a_size))
     b_ids = list(range(a_size, a_size + b_size))
     f_ids = list(range(a_size + b_size, a_size + b_size + f_size))
-
     b_hubs = b_ids[:d]
-    edges: list[Edge] = []
 
     # F blocks: plain partition, one block per B hub (may be empty).
     base, rem = divmod(f_size, d)
-    f_sizes = [base + (1 if i < rem else 0) for i in range(d)]
-    pos = 0
-    for hub, size in zip(b_hubs, f_sizes):
-        edges.extend((hub, v) for v in f_ids[pos : pos + size])
-        pos += size
+    edges = _hang(b_hubs, f_ids, [base + (1 if i < rem else 0) for i in range(d)])
+    # Chained A blocks hang off the same hubs.
+    edges += _chained_blocks(b_hubs, a_ids, da)
 
-    # Chained A blocks: block i holds chain[i-1], chain[i] and fresh ids.
-    chain = a_ids[: d - 1]
-    a_free = a_ids[d - 1 :]
-    sizes = _fill_blocks(a_size + d - 1, [3] * d, [da] * d)
-    free_it = iter(a_free)
-    for i in range(d):
-        members: list[int] = []
-        if i > 0:
-            members.append(chain[i - 1])
-        if i < d - 1:
-            members.append(chain[i])
-        while len(members) < sizes[i]:
-            members.append(next(free_it))
-        edges.extend((b_hubs[i], m) for m in members)
-    a_extra = a_free[0]  # smallest non-chain A vertex anchors the last block
-
-    # Secondary hubs absorbing the surplus: F first, then non-chain A.
+    # Secondary hubs absorbing the surplus, F first, then non-chain A;
+    # each takes the next pair of non-hub B vertices.
     from_f = min(lp, f_size)
-    sec_hubs = f_ids[:from_f] + [v for v in a_ids[d:]][: lp - from_f]
+    sec_hubs = f_ids[:from_f] + a_ids[d : d + lp - from_f]
     pair_pool = b_ids[d:]
-    for j, hub in enumerate(sec_hubs):
-        edges.append((hub, pair_pool[2 * j]))
-        edges.append((hub, pair_pool[2 * j + 1]))
+    edges += _hang(sec_hubs, pair_pool, [2] * lp)
 
-    # Leftover B hangs from the A spine; the extra A vertex takes the
-    # last block, which must hold at least two vertices.
+    # Leftover B hangs from the A spine; the smallest non-chain A vertex
+    # takes the last block, which must hold at least two vertices.
     leftover = pair_pool[2 * lp :]
-    anchors = chain + [a_extra]
     minima = [1] * (d - 1) + [2]
-    caps = [len(leftover)] * d
-    left_sizes = _fill_blocks(len(leftover), minima, caps)
-    pos = 0
-    for anchor, size in zip(anchors, left_sizes):
-        edges.extend((anchor, v) for v in leftover[pos : pos + size])
-        pos += size
+    left_sizes = _fill_blocks(len(leftover), minima, [len(leftover)] * d)
+    edges += _hang(a_ids[:d], leftover, left_sizes)
 
     tree = TreeCertificate(a_size + b_size + f_size, edges)
 
@@ -417,31 +398,49 @@ def star_pack(
     tip_pool = frozenset(tips_from)
     if set(centers) & tip_pool:
         raise PreconditionError("centers and tip pool must be disjoint")
+    if any(not 0 <= v < g.n for v in tip_pool.union(centers)):
+        raise PreconditionError("centers and tips must be vertices of the host")
     if arity < 1:
         raise PreconditionError("arity must be positive")
     tip_of: dict[int, int] = {}  # tip -> center currently using it
     tips: dict[int, set[int]] = {c: set() for c in centers}
 
-    def augment(c: int, banned: set[int]) -> bool:
-        for t in sorted(g.neighbors(c) & tip_pool):
-            if t in banned:
+    def augment(root: int) -> bool:
+        """One augmenting path from root, depth first on an explicit stack.
+
+        Each frame is [center, its sorted tips, the tip being tried];
+        a tip is tried at most once per path search, and a taken tip
+        reroutes through its owner's frame.
+        """
+
+        def frame(c: int) -> list:
+            return [c, iter(sorted(g.neighbors(c) & tip_pool)), None]
+
+        banned: set[int] = set()
+        stack = [frame(root)]
+        while stack:
+            top = stack[-1]
+            t = next((t for t in top[1] if t not in banned), None)
+            if t is None:
+                stack.pop()
                 continue
             banned.add(t)
+            top[2] = t
             owner = tip_of.get(t)
-            if owner is None:
+            if owner is not None:
+                stack.append(frame(owner))
+                continue
+            # A free tip: every frame takes its tip, the deepest first.
+            for c, _, t in reversed(stack):
+                if t in tip_of:
+                    tips[tip_of[t]].discard(t)
                 tip_of[t] = c
                 tips[c].add(t)
-                return True
-            # Try to reroute one of the owner's tips elsewhere.
-            if augment(owner, banned):
-                tips[owner].discard(t)
-                tip_of[t] = c
-                tips[c].add(t)
-                return True
+            return True
         return False
 
     for c in centers:
         for _ in range(arity):
-            if not augment(c, set()):
+            if not augment(c):
                 return None
     return StarPack([(c, tuple(sorted(tips[c]))) for c in centers], arity)

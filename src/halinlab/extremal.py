@@ -233,6 +233,8 @@ def threshold_experiment(
     scheduling or worker count."""
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
+    if not math.isfinite(delta_fraction):
+        raise PreconditionError(f"delta fraction must be finite, got {delta_fraction}")
     params = {
         "n": n,
         "delta_fraction": delta_fraction,

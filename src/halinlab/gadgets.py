@@ -135,6 +135,10 @@ class _Picker:
         self.used.update(picked)
         return picked
 
+    def hang(self, around: int, pool: tuple[int, ...], count: int, what: str) -> list[Edge]:
+        """Edges from `around` to the vertices `take` picks for it."""
+        return [(around, t) for t in self.take(around, pool, count, what)]
+
     def take_common(
         self, around: tuple[int, ...], pool: tuple[int, ...], what: str
     ) -> int:
@@ -189,6 +193,16 @@ def _claws(
     return out
 
 
+def _require_degrees(
+    inst: InsertionInstance, members: tuple[int, ...], side: str, bound: int, label: str
+) -> None:
+    """Every member has at least `bound` neighbors in the named side."""
+    pool = getattr(inst, side)
+    for v in members:
+        if inst.deg_into(v, pool) < bound:
+            raise PreconditionError(f"deg({v}, {side}) < {label} = {bound}")
+
+
 # -- Operation-style builders --------------------------------------------------
 
 
@@ -197,16 +211,10 @@ def validate_hit_instance(inst: InsertionInstance) -> None:
     k = inst.size
     if k < 1:
         raise PreconditionError("need at least one inserted vertex")
-    for x in inst.inserted:
-        if inst.deg_into(x, inst.side_b) < 3 * k:
-            raise PreconditionError(f"deg({x}, side_b) < 3|I|")
-    for b in inst.side_b:
-        if inst.deg_into(b, inst.side_a) < 4 * k - 1:
-            raise PreconditionError(f"deg({b}, side_a) < 4|I|-1")
+    _require_degrees(inst, inst.inserted, "side_b", 3 * k, "3|I|")
+    _require_degrees(inst, inst.side_b, "side_a", 4 * k - 1, "4|I|-1")
     if k >= 2:
-        for a in inst.side_a:
-            if inst.deg_into(a, inst.side_b) < 4 * k - 1:
-                raise PreconditionError(f"deg({a}, side_a side) < 4|I|-1")
+        _require_degrees(inst, inst.side_a, "side_b", 4 * k - 1, "4|I|-1")
         # Consecutive claw anchors must share enough neighbors.
         sim = _Picker(inst)
         claws = _claws(inst, sim, inst.side_b)
@@ -233,8 +241,7 @@ def insertion_hit(inst: InsertionInstance) -> GadgetResult:
         (x, t) for x, tips in zip(xs, claws) for t in tips
     ]
     if k == 1:
-        for t in picker.take(claws[0][2], inst.side_a, 3, "terminal wedge"):
-            edges.append((claws[0][2], t))
+        edges += picker.hang(claws[0][2], inst.side_a, 3, "terminal wedge")
         return _tally(inst, edges, expected_hit_counts(k), "insertion_hit")
     bridges = []
     for i in range(k - 1):
@@ -242,19 +249,14 @@ def insertion_hit(inst: InsertionInstance) -> GadgetResult:
             (claws[i][2], claws[i + 1][0]), inst.side_a, f"bridge {i}"
         )
         bridges.append(y)
-        edges.append((claws[i][2], y))
-        edges.append((claws[i + 1][0], y))
+        edges += [(claws[i][2], y), (claws[i + 1][0], y)]
     for i in range(k - 1):  # wedge pair per bridged third tip
-        for t in picker.take(claws[i][2], inst.side_a, 2, "wedge"):
-            edges.append((claws[i][2], t))
+        edges += picker.hang(claws[i][2], inst.side_a, 2, "wedge")
     for i in range(1, k):  # single leaf per bridged first tip
-        t = picker.take(claws[i][0], inst.side_a, 1, "leaf")[0]
-        edges.append((claws[i][0], t))
+        edges += picker.hang(claws[i][0], inst.side_a, 1, "leaf")
     for y in bridges:  # one side_b leaf per bridge vertex
-        t = picker.take(y, inst.side_b, 1, "bridge leaf")[0]
-        edges.append((y, t))
-    for t in picker.take(claws[0][2], inst.side_a, 3, "terminal wedge"):
-        edges.append((claws[0][2], t))
+        edges += picker.hang(y, inst.side_b, 1, "bridge leaf")
+    edges += picker.hang(claws[0][2], inst.side_a, 3, "terminal wedge")
     return _tally(inst, edges, expected_hit_counts(k), "insertion_hit")
 
 
@@ -263,12 +265,8 @@ def validate_tree_instance(inst: InsertionInstance) -> None:
     k = inst.size
     if k < 1:
         raise PreconditionError("need at least one inserted vertex")
-    for x in inst.inserted:
-        if inst.deg_into(x, inst.side_a) < 3 * k:
-            raise PreconditionError(f"deg({x}, side_a) < 3|I|")
-    for a in inst.side_a:
-        if inst.deg_into(a, inst.side_b) < 2 * k + 2:
-            raise PreconditionError(f"deg({a}, side_b) < 2|I|+2")
+    _require_degrees(inst, inst.inserted, "side_a", 3 * k, "3|I|")
+    _require_degrees(inst, inst.side_a, "side_b", 2 * k + 2, "2|I|+2")
     if k < 2:
         return
     sim = _Picker(inst)
@@ -314,31 +312,25 @@ def insertion_tree(inst: InsertionInstance) -> GadgetResult:
     xs = sorted(inst.inserted)
     edges: list[Edge] = [(x, t) for x, tips in zip(xs, claws) for t in tips]
     if k == 1:
-        for t in picker.take(claws[0][2], inst.side_b, 2, "terminal pair"):
-            edges.append((claws[0][2], t))
+        edges += picker.hang(claws[0][2], inst.side_b, 2, "terminal pair")
         return _tally(inst, edges, expected_tree_counts(k), "insertion_tree")
     if k == 2:
         y = picker.take_common((claws[0][2], claws[1][0]), inst.side_b, "joint")
-        edges.append((claws[0][2], y))
-        edges.append((claws[1][0], y))
+        edges += [(claws[0][2], y), (claws[1][0], y)]
         for anchor in (claws[0][2], claws[1][0]):
-            for t in picker.take(anchor, inst.side_b, 2, "leaf pair"):
-                edges.append((anchor, t))
+            edges += picker.hang(anchor, inst.side_b, 2, "leaf pair")
         return _tally(inst, edges, expected_tree_counts(k), "insertion_tree")
     groups = _tree_anchor_groups(claws, k)
     matched: list[int] = [c[2] for c in claws]
     for tips in groups:
         y = picker.take_common(tuple(tips), inst.side_b, f"connector {tips}")
-        for t in tips:
-            edges.append((t, y))
+        edges.extend((t, y) for t in tips)
     h = math.ceil((k - 3) / 2)
     matched.extend(claws[2 * j][1] for j in range(1, h + 1))
     for t in matched:
-        b = picker.take(t, inst.side_b, 1, "pendant")[0]
-        edges.append((t, b))
+        edges += picker.hang(t, inst.side_b, 1, "pendant")
     extras = 3 if k % 2 == 1 else 2
-    for b in picker.take(claws[0][2], inst.side_b, extras, "terminal leaves"):
-        edges.append((claws[0][2], b))
+    edges += picker.hang(claws[0][2], inst.side_b, extras, "terminal leaves")
     return _tally(inst, edges, expected_tree_counts(k), "insertion_tree")
 
 
@@ -347,12 +339,8 @@ def validate_forest_instance(inst: InsertionInstance) -> None:
     k = inst.size
     if k < 1:
         raise PreconditionError("need at least one inserted vertex")
-    for x in inst.inserted:
-        if inst.deg_into(x, inst.side_b) < 3 * k:
-            raise PreconditionError(f"deg({x}, side_b) < 3|I|")
-    for f in inst.side_b:
-        if inst.deg_into(f, inst.side_a) < 6 * k:
-            raise PreconditionError(f"deg({f}, side_a) < 6|I|")
+    _require_degrees(inst, inst.inserted, "side_b", 3 * k, "3|I|")
+    _require_degrees(inst, inst.side_b, "side_a", 6 * k, "6|I|")
 
 
 def insertion_forest(inst: InsertionInstance) -> GadgetResult:
@@ -365,6 +353,5 @@ def insertion_forest(inst: InsertionInstance) -> GadgetResult:
     edges: list[Edge] = [(x, t) for x, tips in zip(xs, claws) for t in tips]
     for tips in claws:
         for t in tips:
-            for leaf in picker.take(t, inst.side_a, 2, "wedge"):
-                edges.append((t, leaf))
+            edges += picker.hang(t, inst.side_a, 2, "wedge")
     return _tally(inst, edges, expected_forest_counts(inst.size), "insertion_forest")

@@ -1,13 +1,15 @@
 """Constructive Hamiltonian routines under degree-sum hypotheses.
 
 Both builders start from a spanning sequence that may contain virtual
-(non-)edges and repair one virtual edge per rotation: a crossing exchange
-replaces the virtual edge and one other sequence edge with two genuine
-host edges, reversing the segment in between.  For a nonadjacent pair
-u,v on an n-vertex sequence there are n-2 candidate positions but at
-least d(u)+d(v)-2 >= n-1 position marks, so a crossing always exists under
-the degree-sum hypothesis and the number of virtual edges strictly drops.
-A missing crossing would therefore refute the hypothesis itself and is
+(non-)edges and hand it to one repair loop, `_repair`, which rotates away
+the first virtual edge until none is left: a crossing exchange replaces
+the virtual edge and one other sequence edge with two genuine host edges,
+reversing the segment in between.  For a nonadjacent pair u,v on an
+n-vertex sequence there are n-2 candidate positions but at least
+d(u)+d(v)-2 >= n-1 position marks, so a crossing always exists under the
+degree-sum hypothesis and the number of virtual edges strictly drops.  A
+missing crossing, or a loop that runs past its fixed cap of one rotation
+per sequence vertex, would therefore refute the hypothesis itself and is
 raised as a falsification event, never retried.
 """
 
@@ -48,11 +50,8 @@ def _crossing_index(g: Graph, seq: list[int], i: int, cyclic: bool) -> int:
     """Smallest j != i with seq[j] ~ seq[i] and seq[j+1] ~ seq[i+1]."""
     k = len(seq)
     u, v = seq[i], seq[(i + 1) % k]
-    top = k if cyclic else k - 1
-    for j in range(top):
-        if j == i:
-            continue
-        if g.has_edge(u, seq[j]) and g.has_edge(v, seq[(j + 1) % k]):
+    for j in range(k if cyclic else k - 1):
+        if j != i and g.has_edge(u, seq[j]) and g.has_edge(v, seq[(j + 1) % k]):
             return j
     return -1
 
@@ -62,6 +61,15 @@ def _apply_crossing(seq: list[int], i: int, j: int) -> list[int]:
     if j < i:
         return seq[: j + 1] + seq[j + 1 : i + 1][::-1] + seq[i + 1 :]
     return seq[: i + 1] + seq[i + 1 : j + 1][::-1] + seq[j + 1 :]
+
+
+def _rotate_cycle(seq: list[int], i: int, j: int) -> list[int]:
+    """Exchange cycle edges (i,i+1) and (j,j+1) for (i,j) and (i+1,j+1)."""
+    # Rotate seq until position i is at the end; the virtual edge then
+    # spans (last, first) and the arc to reverse is a prefix slice.
+    rot = seq[i + 1 :] + seq[: i + 1]
+    jj = (j - i - 1) % len(seq)  # position of j in the rotated frame
+    return rot[: jj + 1][::-1] + rot[jj + 1 :]
 
 
 def verify_walk(
@@ -84,61 +92,62 @@ def verify_walk(
     return True
 
 
+def _repair(
+    g: Graph, seq: list[int], cyclic: bool, stats: RotationStats | None
+) -> tuple[int, ...]:
+    """Rotate away the virtual edges of a spanning sequence, first one first.
+
+    Each rotation removes at least one virtual edge, so k vertices need at
+    most k rotations; the loop raises once it has run past that cap.
+    """
+    k = len(seq)
+    top = k if cyclic else k - 1
+    exchange = _rotate_cycle if cyclic else _apply_crossing
+    for _ in range(k + 1):
+        bad = next(
+            (i for i in range(top) if not g.has_edge(seq[i], seq[(i + 1) % k])), None
+        )
+        if bad is None:
+            return tuple(seq)
+        j = _crossing_index(g, seq, bad, cyclic)
+        if j < 0:
+            raise FalsificationError(
+                "no crossing exchange for a virtual edge despite the "
+                "degree-sum condition",
+                {"sequence": list(seq), "virtual_at": bad},
+            )
+        seq = exchange(seq, bad, j)
+        if stats is not None:
+            stats.rotations += 1
+    raise FalsificationError(
+        "rotation cap exceeded under a verified degree-sum condition",
+        {"sequence": list(seq)},
+    )
+
+
 def ore_ham_path(
-    g: Graph,
-    x: int,
-    y: int,
-    max_rotations: int | None = None,
-    stats: RotationStats | None = None,
+    g: Graph, x: int, y: int, stats: RotationStats | None = None
 ) -> tuple[int, ...]:
     """Hamiltonian (x,y)-path under the degree-sum n+1 condition.
 
     Never searches: each rotation removes one virtual edge for good, so
-    at most n-1 rotations happen (the configurable cap defaults to n^2).
+    at most n-1 rotations happen.
     """
     if x == y:
         raise PreconditionError("endpoints must differ")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise PreconditionError("endpoint out of range")
     witness = check_ore_plus(g)
     if not witness.holds:
         raise PreconditionError(
             f"degree-sum condition fails at pair {witness.violating_pair}"
         )
-    n = g.n
-    if n == 2:
-        if not g.has_edge(x, y):
-            raise PreconditionError("two vertices without their edge")
-        return (x, y)
-    if stats is None:
-        stats = RotationStats()
-    cap = max_rotations if max_rotations is not None else n * n
-    seq = [x] + sorted(set(range(n)) - {x, y}) + [y]
-    while True:
-        bad = next(
-            (i for i in range(n - 1) if not g.has_edge(seq[i], seq[i + 1])), None
-        )
-        if bad is None:
-            return tuple(seq)
-        if stats.rotations >= cap:
-            raise FalsificationError(
-                "rotation cap exceeded under a verified degree-sum condition",
-                {"sequence": list(seq), "virtual_at": bad},
-            )
-        j = _crossing_index(g, seq, bad, cyclic=False)
-        if j < 0:
-            raise FalsificationError(
-                "no crossing exchange for a nonadjacent pair despite the "
-                "degree-sum condition",
-                {"sequence": list(seq), "virtual_at": bad},
-            )
-        seq = _apply_crossing(seq, bad, j)
-        stats.rotations += 1
+    seq = [x] + sorted(set(range(g.n)) - {x, y}) + [y]
+    return _repair(g, seq, cyclic=False, stats=stats)
 
 
 def moon_moser_cycle(
-    g: Graph,
-    sides: VertexSetPair,
-    max_rotations: int | None = None,
-    stats: RotationStats | None = None,
+    g: Graph, sides: VertexSetPair, stats: RotationStats | None = None
 ) -> tuple[int, ...]:
     """Hamiltonian cycle of a balanced bipartite graph whose nonadjacent
     cross pairs satisfy d(x)+d(y) >= m+1 (m = side size)."""
@@ -158,41 +167,5 @@ def moon_moser_cycle(
                 raise PreconditionError(
                     f"cross degree-sum condition fails at pair ({u},{v})"
                 )
-    if stats is None:
-        stats = RotationStats()
-    cap = max_rotations if max_rotations is not None else 4 * m * m
-    seq: list[int] = []
-    for l, r in zip(left, right):
-        seq.extend((l, r))
-    k = len(seq)
-    while True:
-        bad = next(
-            (i for i in range(k) if not g.has_edge(seq[i], seq[(i + 1) % k])), None
-        )
-        if bad is None:
-            return tuple(seq)
-        if stats.rotations >= cap:
-            raise FalsificationError(
-                "rotation cap exceeded under a verified degree-sum condition",
-                {"sequence": list(seq), "virtual_at": bad},
-            )
-        j = _crossing_index(g, seq, bad, cyclic=True)
-        if j < 0:
-            raise FalsificationError(
-                "no crossing exchange for a nonadjacent cross pair despite "
-                "the degree-sum condition",
-                {"sequence": list(seq), "virtual_at": bad},
-            )
-        seq = _rotate_cycle(seq, bad, j)
-        stats.rotations += 1
-
-
-def _rotate_cycle(seq: list[int], i: int, j: int) -> list[int]:
-    """Exchange cycle edges (i,i+1) and (j,j+1) for (i,j) and (i+1,j+1)."""
-    k = len(seq)
-    # Normalize so the reversed arc sits inside the list: rotate seq until
-    # position i is at the end; then the arc to reverse is a prefix slice.
-    rot = seq[i + 1 :] + seq[: i + 1]  # now virtual edge spans (last, first)
-    jj = (j - i - 1) % k  # position of j in rotated frame
-    out = rot[: jj + 1][::-1] + rot[jj + 1 :]
-    return out
+    seq = [v for pair in zip(left, right) for v in pair]
+    return _repair(g, seq, cyclic=True, stats=stats)

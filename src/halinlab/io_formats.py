@@ -212,46 +212,67 @@ class CertificateDocument:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise PreconditionError(f"unknown certificate kind {self.kind!r}")
+        if not isinstance(self.payload, dict):
+            raise PreconditionError(f"{self.kind} payload must be an object")
         for key in _REQUIRED_FIELDS[self.kind]:
             if key not in self.payload:
                 raise PreconditionError(
                     f"{self.kind} document missing field {key!r}"
                 )
-        n = self.payload.get("host_n", self.payload.get("base_n"))
-        if n is not None:
-            for v in self._referenced_vertices():
-                if not 0 <= v < self._id_bound():
-                    raise PreconditionError(
-                        f"vertex id {v} outside declared range"
-                    )
+        if self.kind == "experiment-report":
+            return
+        bound = self._id_bound()
+        for v in self._referenced_vertices():
+            if not _is_int(v):
+                raise PreconditionError(f"vertex id {v!r} is not an integer")
+            if not 0 <= v < bound:
+                raise PreconditionError(f"vertex id {v} outside declared range")
 
     def _id_bound(self) -> int:
         if self.kind == "reduction-trace":
-            t = len(self.payload["z_order"])
-            return self.payload["base_n"] + 4 * t
-        return self.payload["host_n"]
+            n = self.payload["base_n"]
+            t = len(_entries(self.payload["z_order"], "z_order"))
+        else:
+            n, t = self.payload["host_n"], 0
+        if not _is_int(n):
+            raise PreconditionError(f"vertex count {n!r} is not an integer")
+        return n + 4 * t
 
     def _referenced_vertices(self):
         p = self.payload
         if self.kind in ("hist", "sghg"):
-            for u, v in p["tree_edges"]:
-                yield u
-                yield v
-            for v in p.get("leaf_cycle", ()):
-                yield v
+            yield from _tuples(p["tree_edges"], "tree_edges", 2)
+            yield from _entries(p.get("leaf_cycle", ()), "leaf_cycle")
         elif self.kind == "matching":
-            for star in p["stars"]:
+            for star in _entries(p["stars"], "stars"):
+                if not isinstance(star, dict) or not {"center", "tips"} <= star.keys():
+                    raise PreconditionError("every star needs a center and tips")
                 yield star["center"]
-                yield from star["tips"]
+                yield from _entries(star["tips"], "tips")
         elif self.kind == "reduction-trace":
-            yield from p["terminals"]
-            yield from p["z_order"]
-            yield from p["pendant_ids"]
-            for trip in p["gadget_ids"]:
-                yield from trip
-            for u, v in p["cycle_edges"]:
-                yield u
-                yield v
+            yield from _tuples([p["terminals"]], "terminals", 2)
+            yield from _entries(p["z_order"], "z_order")
+            yield from _entries(p["pendant_ids"], "pendant_ids")
+            yield from _tuples(p["gadget_ids"], "gadget_ids", 3)
+            yield from _tuples(p["cycle_edges"], "cycle_edges", 2)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _entries(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise PreconditionError(f"{what} must be a list")
+    return value
+
+
+def _tuples(value, what: str, size: int):
+    """Flattened entries of a list whose items are lists of `size` ids."""
+    for item in _entries(value, what):
+        if not isinstance(item, (list, tuple)) or len(item) != size:
+            raise PreconditionError(f"{what} entry {item!r} is not {size} ids")
+        yield from item
 
 
 def emit_certificate(doc: CertificateDocument) -> str:

@@ -23,6 +23,7 @@ when an exhaustive search completed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -53,9 +54,9 @@ class SearchBudget:
             raise PreconditionError(
                 f"node limit must be at least 1, got {self.node_limit}"
             )
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
             raise PreconditionError(
-                f"time limit must be positive, got {self.time_limit}"
+                f"time limit must be positive and finite, got {self.time_limit}"
             )
 
     @property

@@ -140,6 +140,70 @@ def test_build_matching_and_starpack(tmp_path, k4):
                  "--tips-from", "1,2", "--arity", "2"]) == 1
 
 
+@pytest.mark.parametrize("terminals", [["--x", "0", "--y", "9"], ["--x=-1", "--y=2"]])
+def test_hampath_bad_terminal_is_a_precondition_error(tmp_path, terminals):
+    k6 = tmp_path / "k6.g6"
+    k6.write_bytes(emit_graph6(Graph.complete(6)) + b"\n")
+    assert main(["hampath", "--graph", str(k6), *terminals]) == 12
+
+
+@pytest.mark.parametrize(
+    "centers, tips", [("0,q", "1,2"), ("0", "1,,2"), ("-1", "1,2")]
+)
+def test_starpack_rejects_malformed_vertex_lists(k4, centers, tips):
+    argv = ["build", "starpack", "--graph", k4, f"--centers={centers}",
+            f"--tips-from={tips}", "--arity", "1"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 10
+
+
+def test_verify_rejects_malformed_vertex_list(k4, tmp_path):
+    out = str(tmp_path / "m.json")
+    assert main(["build", "matching", "--graph", k4, "--out", out]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--graph", k4, "--cert", out, "--centers", "0,q"])
+    assert err.value.code == 10
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("hist", {"host_n": 4, "tree_edges": [[0]], "spanning": True}),
+        ("hist", {"host_n": 4, "tree_edges": [["a", 1]], "spanning": True}),
+        ("matching", {"host_n": 4, "arity": 1, "stars": [{"center": 0}]}),
+    ],
+)
+def test_verify_malformed_document(k4, tmp_path, kind, payload):
+    cert = tmp_path / "bad.json"
+    cert.write_text(json.dumps({"kind": kind, "payload": payload}))
+    assert main(["verify", "--graph", k4, "--cert", str(cert)]) == 12
+
+
+def test_nan_parameters_are_precondition_errors(k4):
+    assert main(["solve", "hist", "--graph", k4, "--time-limit", "nan"]) == 12
+    assert main(["build", "dense", "--graph", k4, "--alpha-prime", "nan",
+                 "--root", "0"]) == 12
+    assert main(["experiment", "threshold", "--n", "10", "--delta-fraction", "nan",
+                 "--trials", "1", "--node-limit", "100"]) == 12
+
+
+def test_gadget_output_is_verified_before_it_is_written(monkeypatch, tmp_path, capsys):
+    from halinlab import gadgets
+    from halinlab.certify import TreeCertificate
+
+    def cyclic(inst):
+        cert = TreeCertificate(inst.host.n, [(0, 4), (4, 1), (1, 5), (5, 0)], False)
+        return gadgets.GadgetResult(cert, {"components": 1})
+
+    monkeypatch.setattr(gadgets, "insertion_hit", cyclic)
+    out = tmp_path / "g.json"
+    argv = ["gadget", "--op", "hit", "--size", "1", "--a", "4", "--b", "4"]
+    assert main([*argv, "--out", str(out)]) == 13
+    assert "not-acyclic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extremal_commands(tmp_path, capsys):
     assert main(["extremal", "gen", "--a", "3", "--out", str(tmp_path / "i.g6")]) == 0
     assert main(["extremal", "confirm", "--a", "3"]) == 0

@@ -236,6 +236,23 @@ def test_star_pack_examples():
     assert pack is not None and verify_star_pack(single, pack, {0})
 
 
+def test_star_pack_long_augmenting_chain():
+    # c_i sees t_i and t_(i+1); the last center sees only t_0, so its one
+    # augmenting path reroutes every earlier center: 1500 levels deep.
+    k = 1501
+    edges = [(i, k + i) for i in range(k - 1)] + [(i, k + i + 1) for i in range(k - 1)]
+    edges.append((k - 1, k))
+    g = Graph(2 * k, edges)
+    centers, tips = set(range(k)), set(range(k, 2 * k))
+    pack = star_pack(g, centers, tips, 1)
+    assert pack is not None and verify_star_pack(g, pack, centers)
+
+
+def test_star_pack_rejects_ids_outside_the_host():
+    with pytest.raises(PreconditionError):
+        star_pack(Graph.complete_bipartite(2, 2), {0, 7}, {2, 3}, 1)
+
+
 def test_star_pack_boundary_degree_condition():
     # Exactly arity * |centers| tips reachable by everyone: must pack.
     k26 = Graph.complete_bipartite(2, 6)

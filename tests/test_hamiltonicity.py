@@ -45,6 +45,13 @@ def test_ore_ham_path_requires_the_condition():
         ore_ham_path(Graph.complete(4), 1, 1)
 
 
+@pytest.mark.parametrize("x, y", [(0, 9), (-1, 2), (6, 0)])
+def test_ore_ham_path_rejects_out_of_range_terminals(x, y):
+    # Not a falsification: the terminals are simply not vertices of K_6.
+    with pytest.raises(PreconditionError, match="out of range"):
+        ore_ham_path(Graph.complete(6), x, y)
+
+
 def test_ore_ham_path_tiny():
     assert ore_ham_path(Graph(2, [(0, 1)]), 1, 0) == (1, 0)
     with pytest.raises(PreconditionError):

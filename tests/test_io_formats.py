@@ -134,6 +134,29 @@ def test_certificate_validation():
         parse_certificate('"just a string"')
 
 
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("hist", {"host_n": 3, "tree_edges": [[0]], "spanning": True}),
+        ("hist", {"host_n": 3, "tree_edges": 5, "spanning": True}),
+        ("hist", {"host_n": 3, "tree_edges": [[0, "1"]], "spanning": True}),
+        ("hist", {"host_n": "3", "tree_edges": [[0, 1]], "spanning": True}),
+        ("sghg", {"host_n": 4, "tree_edges": [[0, 1]], "leaf_cycle": [1, 2.5]}),
+        ("matching", {"host_n": 4, "arity": 1, "stars": [{"center": 0}]}),
+        ("matching", {"host_n": 4, "arity": 1, "stars": [[0, 1]]}),
+        ("hist", 5),
+        (
+            "reduction-trace",
+            {"base_n": 4, "terminals": [0, 3], "z_order": [1, 2],
+             "pendant_ids": [4, 5], "gadget_ids": [[6, 7]], "cycle_edges": []},
+        ),
+    ],
+)
+def test_certificate_validation_rejects_malformed_payloads(kind, payload):
+    with pytest.raises(PreconditionError):
+        CertificateDocument(kind, payload).validate()
+
+
 def test_hist_certificate_example():
     doc = CertificateDocument(
         "hist",

@@ -101,6 +101,8 @@ def test_budget_monotonicity():
         {"node_limit": -5},
         {"time_limit": 0},
         {"time_limit": -1.0},
+        {"time_limit": float("nan")},
+        {"time_limit": float("inf")},
         {"mode": "fastest"},
     ],
 )
