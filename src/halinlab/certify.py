@@ -85,10 +85,8 @@ class TreeCertificate:
 
     @staticmethod
     def from_document(doc: CertificateDocument) -> "TreeCertificate":
-        p = doc.payload
-        return TreeCertificate(
-            p["host_n"], [tuple(e) for e in p["tree_edges"]], p.get("spanning", True)
-        )
+        p = doc.payload_of("hist")
+        return TreeCertificate(p["host_n"], map(tuple, p["tree_edges"]), p["spanning"])
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,8 @@ class HalinCertificate:
 
     @staticmethod
     def from_document(doc: CertificateDocument) -> "HalinCertificate":
-        p = doc.payload
-        tree = TreeCertificate(p["host_n"], [tuple(e) for e in p["tree_edges"]])
+        p = doc.payload_of("sghg")
+        tree = TreeCertificate(p["host_n"], map(tuple, p["tree_edges"]))
         return HalinCertificate(tree, p["leaf_cycle"])
 
 
@@ -136,9 +134,7 @@ class StarPack:
     arity: int
 
     def __init__(self, stars: Iterable[tuple[int, Iterable[int]]], arity: int):
-        packed = tuple(
-            sorted((c, frozenset(tips)) for c, tips in stars)
-        )
+        packed = tuple(sorted((c, frozenset(tips)) for c, tips in stars))
         object.__setattr__(self, "stars", packed)
         object.__setattr__(self, "arity", arity)
 
@@ -153,9 +149,7 @@ class StarPack:
         return out
 
     def edges(self) -> frozenset[Edge]:
-        return _norm_edges(
-            (c, t) for c, tips in self.stars for t in tips
-        )
+        return _norm_edges((c, t) for c, tips in self.stars for t in tips)
 
     def to_document(self, host_n: int) -> CertificateDocument:
         return CertificateDocument(
@@ -168,6 +162,11 @@ class StarPack:
                 ],
             },
         )
+
+    @staticmethod
+    def from_document(doc: CertificateDocument) -> "StarPack":
+        p = doc.payload_of("matching")
+        return StarPack([(s["center"], s["tips"]) for s in p["stars"]], p["arity"])
 
 
 # -- verifiers ---------------------------------------------------------------

@@ -77,14 +77,6 @@ def _vertex_set(text: str) -> set[int]:
     raise argparse.ArgumentTypeError(f"not a list of vertex ids: {text!r}")
 
 
-def _budget_from(args, required: bool) -> SearchBudget:
-    if required and args.node_limit is None and args.time_limit is None:
-        raise PreconditionError(
-            "solve requires --node-limit or --time-limit (budgets are mandatory)"
-        )
-    return SearchBudget(args.node_limit, args.time_limit, args.mode)
-
-
 def _load(args) -> Graph:
     return load_graph(args.graph, args.format)
 
@@ -219,7 +211,6 @@ def build_parser() -> _Parser:
     x.add_argument("--trials", type=int, required=True)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--node-limit", type=int, default=None)
-    x.add_argument("--time-limit", type=float, default=None)
     x.add_argument("--threads", type=int, default=1)
     x.add_argument("--out", default=None)
     x.add_argument("--out-csv", default=None)
@@ -239,11 +230,7 @@ def cmd_verify(args) -> int:
     elif doc.kind == "sghg":
         verdict = is_generalized_halin(g, HalinCertificate.from_document(doc))
     elif doc.kind == "matching":
-        pack = StarPack(
-            [(s["center"], s["tips"]) for s in doc.payload["stars"]],
-            doc.payload["arity"],
-        )
-        verdict = verify_star_pack(g, pack, args.centers)
+        verdict = verify_star_pack(g, StarPack.from_document(doc), args.centers)
     else:
         raise PreconditionError(f"cannot verify documents of kind {doc.kind!r}")
     if verdict:
@@ -255,7 +242,11 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _load(args)
-    budget = _budget_from(args, required=True)
+    if args.node_limit is None and args.time_limit is None:
+        raise PreconditionError(
+            "solve requires --node-limit or --time-limit (budgets are mandatory)"
+        )
+    budget = SearchBudget(args.node_limit, args.time_limit, args.mode)
     result = find_hist(g, budget) if args.target == "hist" else find_sghg(g, budget)
     print(f"{args.target}: {result.status} (nodes={result.nodes})")
     if result.status == "unknown":
@@ -263,17 +254,10 @@ def cmd_solve(args) -> int:
     if result.status == "none":
         return EXIT_NEGATIVE
     cert = result.certificate
-    verdict = (
-        is_hist(g, cert)
-        if args.target == "hist"
-        else is_generalized_halin(g, cert)
-    )
-    if not verdict:
-        raise FalsificationError(f"unverifiable solver output: {verdict.code}")
-    if result.solution_count is not None:
-        print(f"solutions: {result.solution_count}")
-    _write_out(args.out, emit_certificate(cert.to_document()))
-    return EXIT_OK
+    verify = is_hist if args.target == "hist" else is_generalized_halin
+    count = result.solution_count
+    summary = None if count is None else f"solutions: {count}"
+    return _emit(args, verify(g, cert), cert.to_document(), summary)
 
 
 def cmd_hampath(args) -> int:
@@ -324,17 +308,21 @@ def cmd_project(args) -> int:
     cert = HalinCertificate.from_document(
         parse_certificate(open(args.cert, encoding="utf-8").read())
     )
+    base = g.induced_subgraph(range(trace.base_n))[0]
+    if reduction.reduce_instance(base, *trace.terminals)[0] != g:
+        raise PreconditionError("graph is not the reduction instance of the trace")
     path = reduction.project_certificate(g, trace, cert)
     print(" ".join(map(str, path)))
     return EXIT_OK
 
 
-def _emit_tree(args, host: Graph, tree: TreeCertificate, summary: str) -> int:
-    verdict = is_hist(host, tree)
+def _emit(args, verdict, doc, summary: str | None) -> int:
+    """Print the summary and write the document, once its verifier accepted it."""
     if not verdict:
-        raise FalsificationError(f"builder output failed verification: {verdict.code}")
-    print(summary)
-    _write_out(args.out, emit_certificate(tree.to_document()))
+        raise FalsificationError(f"{doc.kind} output failed verification: {verdict.code}")
+    if summary is not None:
+        print(summary)
+    _write_out(args.out, emit_certificate(doc))
     return EXIT_OK
 
 
@@ -343,17 +331,19 @@ def cmd_build_dense(args) -> int:
     tree = constructive.dense_hist(
         g, constructive.DenseHistParams(args.alpha_prime, args.root)
     )
-    return _emit_tree(
-        args, g, tree, f"hist: root degree {tree.degree(args.root)}, "
+    summary = (
+        f"hist: root degree {tree.degree(args.root)}, "
         f"{len(tree.internal())} internal vertices"
     )
+    return _emit(args, is_hist(g, tree), tree.to_document(), summary)
 
 
 def cmd_build_bipartite(args) -> int:
     plan = constructive.BipartiteHistPlan(args.hubs, args.block_bound, args.imbalance)
     tree = constructive.bipartite_hist(args.a, args.b, plan)
     host = Graph.complete_bipartite(args.a, args.b)
-    return _emit_tree(args, host, tree, f"hist over K_{{{args.a},{args.b}}}")
+    summary = f"hist over K_{{{args.a},{args.b}}}"
+    return _emit(args, is_hist(host, tree), tree.to_document(), summary)
 
 
 def cmd_build_tripartite(args) -> int:
@@ -362,7 +352,8 @@ def cmd_build_tripartite(args) -> int:
     )
     tree, path = constructive.tripartite_hist(args.a, args.b, args.f, args.l, plan)
     host = constructive.tripartite_host(args.a, args.b, args.f)
-    code = _emit_tree(args, host, tree, f"hist plus companion path of {len(path)} vertices")
+    summary = f"hist plus companion path of {len(path)} vertices"
+    code = _emit(args, is_hist(host, tree), tree.to_document(), summary)
     if path:
         print("path: " + " ".join(map(str, path)))
     return code
@@ -371,12 +362,12 @@ def cmd_build_tripartite(args) -> int:
 def cmd_build_matching(args) -> int:
     g = _load(args)
     pack = constructive.matching_lower_bound(g)
-    if not verify_star_pack(g, pack, {c for c, _ in pack.stars}):
-        raise FalsificationError("matching failed verification")
-    print(f"matching of size {len(pack.stars)} (edges {g.edge_count}, "
-          f"max degree {g.max_degree()})")
-    _write_out(args.out, emit_certificate(pack.to_document(g.n)))
-    return EXIT_OK
+    summary = (
+        f"matching of size {len(pack.stars)} (edges {g.edge_count}, "
+        f"max degree {g.max_degree()})"
+    )
+    verdict = verify_star_pack(g, pack, pack.centers())
+    return _emit(args, verdict, pack.to_document(g.n), summary)
 
 
 def cmd_build_starpack(args) -> int:
@@ -385,11 +376,9 @@ def cmd_build_starpack(args) -> int:
     if pack is None:
         print("no star pack exists")
         return EXIT_NEGATIVE
-    if not verify_star_pack(g, pack, args.centers):
-        raise FalsificationError("star pack failed verification")
-    print(f"star pack found: {len(pack.stars)} stars of arity {args.arity}")
-    _write_out(args.out, emit_certificate(pack.to_document(g.n)))
-    return EXIT_OK
+    summary = f"star pack found: {len(pack.stars)} stars of arity {args.arity}"
+    verdict = verify_star_pack(g, pack, args.centers)
+    return _emit(args, verdict, pack.to_document(g.n), summary)
 
 
 def cmd_gadget(args) -> int:
@@ -400,13 +389,9 @@ def cmd_gadget(args) -> int:
         "forest": gadgets.insertion_forest,
     }[args.op]
     result = builder(inst)
-    verdict = check_tree(inst.host, result.certificate)
-    if not verdict:
-        raise FalsificationError(f"gadget output failed verification: {verdict.code}")
-    for key in sorted(result.counts):
-        print(f"{key}: {result.counts[key]}")
-    _write_out(args.out, emit_certificate(result.certificate.to_document()))
-    return EXIT_OK
+    cert, counts = result.certificate, result.counts
+    summary = "\n".join(f"{key}: {counts[key]}" for key in sorted(counts))
+    return _emit(args, check_tree(inst.host, cert), cert.to_document(), summary)
 
 
 def cmd_extremal_gen(args) -> int:
@@ -434,7 +419,7 @@ def cmd_extremal_confirm(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    budget = SearchBudget(args.node_limit, args.time_limit, "first")
+    budget = SearchBudget(args.node_limit)
     report = extremal.threshold_experiment(
         args.n, args.delta_fraction, args.trials, args.seed, budget, args.threads
     )

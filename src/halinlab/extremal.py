@@ -230,16 +230,25 @@ def threshold_experiment(
 ) -> ExperimentReport:
     """Chart solver outcomes on random 3-connected hosts with a degree
     floor; trials are independent streams so results do not depend on
-    scheduling or worker count."""
+    scheduling or worker count.  The budget may not carry a time limit:
+    outcomes would then depend on the machine, not on (seed, params)."""
+    if n < 4:
+        raise PreconditionError(f"no 3-connected host has n = {n} < 4 vertices")
     if trials < 0:
         raise PreconditionError("trials must be nonnegative")
-    if not math.isfinite(delta_fraction):
-        raise PreconditionError(f"delta fraction must be finite, got {delta_fraction}")
+    if threads < 1:
+        raise PreconditionError(f"threads must be at least 1, got {threads}")
+    if not 0 <= delta_fraction <= 1:
+        raise PreconditionError(f"delta fraction must lie in [0, 1], got {delta_fraction}")
+    if budget.time_limit is not None:
+        raise PreconditionError("a time limit would make the report irreproducible")
     params = {
         "n": n,
         "delta_fraction": delta_fraction,
         "trials": trials,
         "seed": seed,
+        "node_limit": budget.node_limit,
+        "mode": budget.mode,
     }
     report = ExperimentReport(params)
     if trials == 0:

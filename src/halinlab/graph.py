@@ -131,15 +131,6 @@ class Graph:
                     stack.append(w)
         return seen
 
-    def connected_components(self) -> list[list[int]]:
-        out: list[list[int]] = []
-        left = set(range(self.n))
-        while left:
-            comp = self._component_of(min(left))
-            out.append(sorted(comp))
-            left -= comp
-        return out
-
     # -- constructors -----------------------------------------------------
 
     @staticmethod

@@ -2,7 +2,9 @@
 
 graph6 follows the standard bit packing: 6 bits per character, offset 63,
 adjacency bits in upper-triangle column order.  Certificate documents are
-UTF-8 JSON records with sorted keys so re-emission is byte-stable.
+UTF-8 JSON records with sorted keys so re-emission is byte-stable; the
+`_SCHEMAS` table describes every kind once, and validation, canonical
+emission and the id range checks all read it.
 """
 
 from __future__ import annotations
@@ -34,44 +36,28 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     """Decode the vertex-count header; returns (n, bytes consumed)."""
     if not data:
         raise ParseError("empty graph6 string", 0)
-    c = data[0]
-    if c == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise ParseError("truncated long-form header", len(data))
-            vals = [b - 63 for b in data[2:8]]
-            if any(v < 0 or v > 63 for v in vals):
-                raise ParseError("corrupt long-form header", 2)
-            n = 0
-            for v in vals:
-                n = n << 6 | v
-            return n, 8
-        if len(data) < 4:
-            raise ParseError("truncated medium-form header", len(data))
-        vals = [b - 63 for b in data[1:4]]
-        if any(v < 0 or v > 63 for v in vals):
-            raise ParseError("corrupt medium-form header", 1)
-        return vals[0] << 12 | vals[1] << 6 | vals[2], 4
-    if not 63 <= c <= 125:
-        raise ParseError(f"invalid header byte {c}", 0)
-    return c - 63, 1
+    if data[0] != 126:
+        if not 63 <= data[0] <= 125:
+            raise ParseError(f"invalid header byte {data[0]}", 0)
+        return data[0] - 63, 1
+    form, start, end = ("long", 2, 8) if data[1:2] == b"~" else ("medium", 1, 4)
+    if len(data) < end:
+        raise ParseError(f"truncated {form}-form header", len(data))
+    n = 0
+    for i in range(start, end):
+        if not 63 <= data[i] <= 126:
+            raise ParseError(f"corrupt {form}-form header", i)
+        n = n << 6 | data[i] - 63
+    return n, end
 
 
 def emit_graph6(g: Graph) -> bytes:
     """Encode a graph as graph6 bytes; round-trips through parse_graph6."""
-    out = bytearray(_encode_n(g.n))
-    bits: list[int] = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        out.append(val + 63)
-    return bytes(out)
+    slots = ((u, v) for v in range(1, g.n) for u in range(v))
+    bits = "".join("1" if g.has_edge(u, v) else "0" for u, v in slots)
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    return _encode_n(g.n) + body
 
 
 def parse_graph6(text: bytes | str) -> Graph:
@@ -168,22 +154,33 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
 
 # -- certificate documents ----------------------------------------------------
 
-KINDS = ("hist", "sghg", "matching", "reduction-trace", "experiment-report")
-
-_REQUIRED_FIELDS = {
-    "hist": ("host_n", "tree_edges", "spanning"),
-    "sghg": ("host_n", "tree_edges", "leaf_cycle"),
-    "matching": ("host_n", "arity", "stars"),
-    "reduction-trace": (
-        "base_n",
-        "terminals",
-        "z_order",
-        "pendant_ids",
-        "gadget_ids",
-        "cycle_edges",
-    ),
-    "experiment-report": ("parameters", "trials"),
+# Every document kind, field by field.  Shapes: "count" is the host's
+# vertex count, and every id in a document that has one must lie below
+# it; "int" an integer, "flag" a boolean, "id" one vertex id, "ids" a
+# list of ids, "pair" two ids, "pairs" a list of distinct unordered id
+# pairs (emitted sorted), "triples" a list of id triples, "cycle" a
+# cyclic id sequence (emitted normalized), "json" free JSON, and a dict
+# a list of records with those fields.
+_SCHEMAS = {
+    "hist": {"host_n": "count", "tree_edges": "pairs", "spanning": "flag"},
+    "sghg": {"host_n": "count", "tree_edges": "pairs", "leaf_cycle": "cycle"},
+    "matching": {
+        "host_n": "count",
+        "arity": "int",
+        "stars": {"center": "id", "tips": "ids"},
+    },
+    "reduction-trace": {
+        "base_n": "int",
+        "terminals": "pair",
+        "z_order": "ids",
+        "pendant_ids": "ids",
+        "gadget_ids": "triples",
+        "cycle_edges": "pairs",
+    },
+    "experiment-report": {"parameters": "json", "trials": "json", "rates": "json"},
 }
+
+KINDS = tuple(_SCHEMAS)
 
 
 def normalize_cycle(seq: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -210,75 +207,88 @@ class CertificateDocument:
     payload: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        """Check the payload against its kind's schema (PreconditionError)."""
+        if self.kind not in _SCHEMAS:
             raise PreconditionError(f"unknown certificate kind {self.kind!r}")
-        if not isinstance(self.payload, dict):
-            raise PreconditionError(f"{self.kind} payload must be an object")
-        for key in _REQUIRED_FIELDS[self.kind]:
-            if key not in self.payload:
-                raise PreconditionError(
-                    f"{self.kind} document missing field {key!r}"
-                )
-        if self.kind == "experiment-report":
-            return
-        bound = self._id_bound()
-        for v in self._referenced_vertices():
-            if not _is_int(v):
-                raise PreconditionError(f"vertex id {v!r} is not an integer")
-            if not 0 <= v < bound:
-                raise PreconditionError(f"vertex id {v} outside declared range")
+        schema = _SCHEMAS[self.kind]
+        ids = _record_ids(self.payload, schema, f"{self.kind} payload")
+        for n in (self.payload[k] for k, shape in schema.items() if shape == "count"):
+            if any(not 0 <= v < n for v in ids):
+                raise PreconditionError(f"a vertex id lies outside 0..{n - 1}")
 
-    def _id_bound(self) -> int:
-        if self.kind == "reduction-trace":
-            n = self.payload["base_n"]
-            t = len(_entries(self.payload["z_order"], "z_order"))
-        else:
-            n, t = self.payload["host_n"], 0
-        if not _is_int(n):
-            raise PreconditionError(f"vertex count {n!r} is not an integer")
-        return n + 4 * t
-
-    def _referenced_vertices(self):
-        p = self.payload
-        if self.kind in ("hist", "sghg"):
-            yield from _tuples(p["tree_edges"], "tree_edges", 2)
-            yield from _entries(p.get("leaf_cycle", ()), "leaf_cycle")
-        elif self.kind == "matching":
-            for star in _entries(p["stars"], "stars"):
-                if not isinstance(star, dict) or not {"center", "tips"} <= star.keys():
-                    raise PreconditionError("every star needs a center and tips")
-                yield star["center"]
-                yield from _entries(star["tips"], "tips")
-        elif self.kind == "reduction-trace":
-            yield from _tuples([p["terminals"]], "terminals", 2)
-            yield from _entries(p["z_order"], "z_order")
-            yield from _entries(p["pendant_ids"], "pendant_ids")
-            yield from _tuples(p["gadget_ids"], "gadget_ids", 3)
-            yield from _tuples(p["cycle_edges"], "cycle_edges", 2)
+    def payload_of(self, kind: str) -> dict:
+        """The payload, once the document is known to be of `kind`."""
+        if self.kind != kind:
+            raise PreconditionError(f"expected a {kind} document, got {self.kind!r}")
+        return self.payload
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _entries(value, what: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise PreconditionError(f"{what} must be a list")
+_SCALARS = {
+    "count": lambda v: _is_int(v) and v >= 0,
+    "int": _is_int,
+    "id": _is_int,
+    "flag": lambda v: isinstance(v, bool),
+    "json": lambda v: True,
+}
+
+
+def _record_ids(record, schema: dict, what: str) -> list[int]:
+    """Check a record's fields against `schema`; return the ids it names."""
+    if not isinstance(record, dict):
+        raise PreconditionError(f"{what} must be an object")
+    if record.keys() != schema.keys():
+        raise PreconditionError(f"{what} has fields {list(record)}, expected {list(schema)}")
+    ids: list[int] = []
+    for key, shape in schema.items():
+        ids += _field_ids(record[key], shape, f"{what} field {key!r}")
+    return ids
+
+
+def _field_ids(value, shape, what: str) -> list[int]:
+    """Check one field against its shape; return the ids it names."""
+    if isinstance(shape, dict):
+        return [v for rec in _list(value, what) for v in _record_ids(rec, shape, what)]
+    if shape in _SCALARS:
+        if not _SCALARS[shape](value):
+            raise PreconditionError(f"{what} is not a valid {shape}: {value!r}")
+        return [value] if shape == "id" else []
+    if shape == "pair":
+        ids = _list(value, what, 2)
+    elif shape in ("pairs", "triples"):
+        size = 2 if shape == "pairs" else 3
+        ids = [v for item in _list(value, what) for v in _list(item, what, size)]
+    else:
+        ids = _list(value, what)
+    bad = [v for v in ids if not isinstance(v, int) or isinstance(v, bool)]
+    if bad:
+        raise PreconditionError(f"{what}: vertex id {bad[0]!r} is not an integer")
+    if shape == "pairs" and len(set(map(frozenset, value))) != len(value):
+        raise PreconditionError(f"{what} repeats a pair")
+    return ids
+
+
+def _list(value, what: str, size: int | None = None) -> list | tuple:
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        of = f" of {size} ids" if size else ""
+        raise PreconditionError(f"{what}: expected a list{of}, got {value!r}")
     return value
-
-
-def _tuples(value, what: str, size: int):
-    """Flattened entries of a list whose items are lists of `size` ids."""
-    for item in _entries(value, what):
-        if not isinstance(item, (list, tuple)) or len(item) != size:
-            raise PreconditionError(f"{what} entry {item!r} is not {size} ids")
-        yield from item
 
 
 def emit_certificate(doc: CertificateDocument) -> str:
     """Deterministic, byte-stable serialization (sorted keys, sorted edges)."""
     doc.validate()
-    payload = _canonical(doc.payload)
+    payload = {}
+    for key, shape in _SCHEMAS[doc.kind].items():
+        value = doc.payload[key]
+        if shape == "pairs":
+            value = sorted(sorted(e) for e in value)
+        elif shape == "cycle":
+            value = list(normalize_cycle(list(value)))
+        payload[key] = value
     record = {"kind": doc.kind, "payload": payload}
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -293,24 +303,3 @@ def parse_certificate(text: str) -> CertificateDocument:
     doc = CertificateDocument(record["kind"], record.get("payload", {}))
     doc.validate()
     return doc
-
-
-def _canonical(value):
-    """Sort edge lists, normalize cycles, and recurse through containers."""
-    if isinstance(value, dict):
-        out = {}
-        for k in sorted(value):
-            v = value[k]
-            if k.endswith("_edges") or k == "edges":
-                v = sorted([sorted(e) for e in v])
-            elif k == "leaf_cycle":
-                v = list(normalize_cycle(list(v)))
-            else:
-                v = _canonical(v)
-            out[k] = v
-        return out
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return value

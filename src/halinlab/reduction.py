@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from .certify import HalinCertificate, TreeCertificate, is_generalized_halin
 from .errors import FalsificationError, PreconditionError
 from .graph import Graph
-from .io_formats import CertificateDocument
+from .io_formats import CertificateDocument, emit_certificate
 
 Edge = tuple[int, int]
 
@@ -72,15 +72,14 @@ class ReductionTrace:
 
     @staticmethod
     def from_document(doc: CertificateDocument) -> "ReductionTrace":
-        p = doc.payload
-        return ReductionTrace(
-            base_n=p["base_n"],
-            terminals=tuple(p["terminals"]),
-            z_order=tuple(p["z_order"]),
-            pendant_ids=tuple(p["pendant_ids"]),
-            gadget_ids=tuple(tuple(t) for t in p["gadget_ids"]),
-            cycle_edges=frozenset(tuple(sorted(e)) for e in p["cycle_edges"]),
-        )
+        """Rebuild the trace from its terminals (ids are dense, and z_order
+        lists every non-terminal); every field must match the rebuild."""
+        p = doc.payload_of("reduction-trace")
+        text = emit_certificate(doc)  # validates the fields read below
+        _, trace = reduce_instance(Graph.empty(len(p["z_order"]) + 2), *p["terminals"])
+        if emit_certificate(trace.to_document()) != text:
+            raise PreconditionError("reduction trace does not match its terminals")
+        return trace
 
 
 def build_g_prime(g: Graph, x: int, y: int) -> tuple[Graph, ReductionTrace]:
@@ -157,12 +156,14 @@ def project_certificate(
         raise PreconditionError(f"certificate rejected: {verdict.code}")
     gadget_vertices = {v for triple in trace.gadget_ids for v in triple}
     pendants = set(trace.pendant_ids)
-    dump = {"trace": trace.to_document().payload}
+
+    def dump(**extra) -> dict:
+        return {"trace": trace.to_document().payload, **extra}
 
     leaves = h.tree.leaves()
     if not gadget_vertices <= leaves:
         raise FalsificationError(
-            "a gadget vertex is internal in a verified certificate", dump
+            "a gadget vertex is internal in a verified certificate", dump()
         )
     remaining = [e for e in h.tree.edges if not (set(e) & gadget_vertices)]
     # Every pendant must now hang off its non-terminal with degree 1.
@@ -173,7 +174,7 @@ def project_certificate(
     for z, zp in zip(trace.z_order, trace.pendant_ids):
         if deg.get(zp, 0) != 1 or (min(z, zp), max(z, zp)) not in remaining:
             raise FalsificationError(
-                "pendant vertex not attached as forced", {**dump, "pendant": zp}
+                "pendant vertex not attached as forced", dump(pendant=zp)
             )
     path_edges = [e for e in remaining if not (set(e) & pendants)]
     # The leftovers must chain the base vertices from x to y.
@@ -183,21 +184,21 @@ def project_certificate(
         adj.setdefault(v, []).append(u)
     x, y = trace.terminals
     if len(path_edges) != trace.base_n - 1 or set(adj) != set(range(trace.base_n)):
-        raise FalsificationError("stripped tree is not a spanning path", dump)
+        raise FalsificationError("stripped tree is not a spanning path", dump())
     for v, nb in adj.items():
         want = 1 if v in (x, y) else 2
         if len(nb) != want:
             raise FalsificationError(
-                "stripped tree has a branch vertex", {**dump, "vertex": v}
+                "stripped tree has a branch vertex", dump(vertex=v)
             )
     seq = [x]
     prev = None
     while seq[-1] != y:
         nxt = [w for w in adj[seq[-1]] if w != prev]
         if len(nxt) != 1:
-            raise FalsificationError("path reconstruction stalled", dump)
+            raise FalsificationError("path reconstruction stalled", dump())
         prev = seq[-1]
         seq.append(nxt[0])
     if len(seq) != trace.base_n:
-        raise FalsificationError("path misses base vertices", dump)
+        raise FalsificationError("path misses base vertices", dump())
     return tuple(seq)

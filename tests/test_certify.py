@@ -123,6 +123,24 @@ def test_star_pack_verify():
     )
 
 
+def test_star_pack_document_round_trip():
+    pack = StarPack([(0, (3, 4)), (1, (5, 6))], 2)
+    assert StarPack.from_document(pack.to_document(9)) == pack
+    with pytest.raises(PreconditionError):
+        StarPack.from_document(TreeCertificate(3, [(0, 1)]).to_document())
+
+
+def test_tree_documents_decode_only_their_own_kind():
+    tree = TreeCertificate(4, [(0, 1), (0, 2), (0, 3)], is_spanning=False)
+    assert TreeCertificate.from_document(tree.to_document()) == tree
+    halin = HalinCertificate(TreeCertificate(4, [(0, 1), (0, 2), (0, 3)]), (1, 2, 3))
+    assert HalinCertificate.from_document(halin.to_document()) == halin
+    with pytest.raises(PreconditionError):
+        TreeCertificate.from_document(halin.to_document())
+    with pytest.raises(PreconditionError):
+        HalinCertificate.from_document(tree.to_document())
+
+
 def test_hit_forest_checker():
     g = Graph.complete_bipartite(4, 8)
     forest = TreeCertificate(

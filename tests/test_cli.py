@@ -172,12 +172,100 @@ def test_verify_rejects_malformed_vertex_list(k4, tmp_path):
         ("hist", {"host_n": 4, "tree_edges": [[0]], "spanning": True}),
         ("hist", {"host_n": 4, "tree_edges": [["a", 1]], "spanning": True}),
         ("matching", {"host_n": 4, "arity": 1, "stars": [{"center": 0}]}),
+        ("hist", {"host_n": 4, "tree_edges": [[0, 1], [0, 2], [0, 3]], "spanning": "no"}),
+        ("matching", {"host_n": 4, "arity": "x", "stars": [{"center": 0, "tips": [1]}]}),
+        # [0,1] and [1,0] are one edge: read as a set they would pass as a
+        # star with three leaves, so the document is malformed, not invalid.
+        ("hist", {"host_n": 4, "tree_edges": [[0, 1], [1, 0], [0, 2], [0, 3]], "spanning": True}),
     ],
 )
 def test_verify_malformed_document(k4, tmp_path, kind, payload):
     cert = tmp_path / "bad.json"
     cert.write_text(json.dumps({"kind": kind, "payload": payload}))
     assert main(["verify", "--graph", k4, "--cert", str(cert)]) == 12
+
+
+@pytest.fixture(scope="module")
+def reduced_k4(tmp_path_factory):
+    """K_4 reduced for terminals (0, 1), a solved certificate, and the
+    trace of the same reduction for terminals (0, 3)."""
+    tmp = tmp_path_factory.mktemp("reduced")
+    k4 = tmp / "k4.g6"
+    k4.write_bytes(emit_graph6(Graph.complete(4)) + b"\n")
+    files = {name: str(tmp / name) for name in ("gpp.g6", "trace.json", "cert.json",
+                                                "gpp03.g6", "trace03.json")}
+    for x, y, g, t in [(0, 1, "gpp.g6", "trace.json"), (0, 3, "gpp03.g6", "trace03.json")]:
+        assert main(["reduce", "--graph", str(k4), "--x", str(x), "--y", str(y),
+                     "--out-graph", files[g], "--out-trace", files[t]]) == 0
+    assert main(["solve", "sghg", "--graph", files["gpp.g6"], "--node-limit", "5000000",
+                 "--out", files["cert.json"]]) == 0
+    return files
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda p: {**p, "pendant_ids": p["pendant_ids"][::-1]},
+        lambda p: {**p, "terminals": [0, 2]},
+        lambda p: {**p, "pendant_ids": p["pendant_ids"][:1]},
+    ],
+    ids=["pendants-reversed", "terminals-edited", "pendants-truncated"],
+)
+def test_project_rejects_a_tampered_trace(reduced_k4, tmp_path, tamper):
+    record = json.load(open(reduced_k4["trace.json"]))
+    record["payload"] = tamper(record["payload"])
+    trace = tmp_path / "tampered.json"
+    trace.write_text(json.dumps(record))
+    argv = ["project", "--graph", reduced_k4["gpp.g6"], "--trace", str(trace),
+            "--cert", reduced_k4["cert.json"]]
+    assert main(argv) == 12
+
+
+def test_project_rejects_a_trace_for_other_terminals(reduced_k4, capsys):
+    argv = ["project", "--graph", reduced_k4["gpp.g6"], "--trace", reduced_k4["trace03.json"],
+            "--cert", reduced_k4["cert.json"]]
+    assert main(argv) == 12
+    assert "not the reduction instance" in capsys.readouterr().err
+
+
+def test_project_rejects_a_hist_certificate(reduced_k4, k4, tmp_path):
+    hist = str(tmp_path / "hist.json")
+    assert main(["solve", "hist", "--graph", k4, "--node-limit", "100", "--out", hist]) == 0
+    argv = ["project", "--graph", reduced_k4["gpp.g6"], "--trace", reduced_k4["trace.json"],
+            "--cert", hist]
+    assert main(argv) == 12
+
+
+def test_solver_output_is_verified_before_it_is_written(k4, monkeypatch, tmp_path, capsys):
+    from halinlab.certify import HalinCertificate, TreeCertificate
+    from halinlab.search import SearchResult
+
+    def wrong(g, budget):
+        cert = HalinCertificate(TreeCertificate(4, [(0, 1), (1, 2), (2, 3)]), (0, 3, 1))
+        return SearchResult("found", cert, nodes=1)
+
+    monkeypatch.setattr("halinlab.cli.find_sghg", wrong)
+    out = tmp_path / "c.json"
+    assert main(["solve", "sghg", "--graph", k4, "--node-limit", "10", "--out", str(out)]) == 13
+    assert "sghg output failed verification: not-a-hist" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option", [["--n", "-3"], ["--threads", "0"], ["--delta-fraction", "5"]]
+)
+def test_experiment_rejects_out_of_range_parameters(option):
+    argv = {"--n": "10", "--delta-fraction": "0.85", "--trials": "1",
+            "--node-limit": "1000", "--threads": "1"}
+    argv[option[0]] = option[1]
+    assert main(["experiment", "threshold", *(x for kv in argv.items() for x in kv)]) == 12
+
+
+def test_experiment_takes_no_time_limit():
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "threshold", "--n", "10", "--delta-fraction", "0.85",
+              "--trials", "1", "--time-limit", "5"])
+    assert err.value.code == 10
 
 
 def test_nan_parameters_are_precondition_errors(k4):

@@ -117,3 +117,24 @@ def test_sharpness_trial_injection():
 
     g, _ = sharpness_instance(3)
     assert find_sghg(g, SearchBudget(node_limit=10**6, mode="first")).status == "none"
+
+
+@pytest.mark.parametrize(
+    "n, delta_fraction, threads",
+    [(3, 0.8, 1), (-3, 0.8, 1), (10, 0.8, 0), (10, 5.0, 1), (10, -0.1, 1)],
+)
+def test_threshold_experiment_rejects_out_of_range_parameters(n, delta_fraction, threads):
+    with pytest.raises(PreconditionError):
+        threshold_experiment(n, delta_fraction, 1, 0, SearchBudget(node_limit=10), threads)
+
+
+def test_threshold_experiment_rejects_a_time_limit():
+    budget = SearchBudget(node_limit=10, time_limit=5.0)
+    with pytest.raises(PreconditionError):
+        threshold_experiment(10, 0.8, 1, 0, budget)
+
+
+def test_threshold_experiment_records_its_budget():
+    report = threshold_experiment(10, 0.8, 0, 1, SearchBudget(node_limit=10))
+    assert report.parameters["node_limit"] == 10
+    assert report.parameters["mode"] == "first"

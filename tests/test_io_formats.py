@@ -17,6 +17,7 @@ from halinlab.io_formats import (
     parse_edge_list,
     parse_graph6,
 )
+from halinlab.reduction import reduce_instance
 
 from oracles import random_graph, to_networkx
 
@@ -150,11 +151,68 @@ def test_certificate_validation():
             {"base_n": 4, "terminals": [0, 3], "z_order": [1, 2],
              "pendant_ids": [4, 5], "gadget_ids": [[6, 7]], "cycle_edges": []},
         ),
+        ("hist", {"host_n": 3, "tree_edges": [[0, 1]], "spanning": "no"}),
+        ("matching", {"host_n": 4, "arity": "x", "stars": [{"center": 0, "tips": [1]}]}),
+        ("hist", {"host_n": 3, "tree_edges": [[0, 1], [1, 0]], "spanning": True}),
+        ("hist", {"host_n": 3, "tree_edges": [[0, [1]]], "spanning": True}),
+        ("hist", {"host_n": 3, "tree_edges": [], "spanning": True, "extra": 1}),
+        ("hist", {"host_n": -1, "tree_edges": [], "spanning": True}),
+        ("experiment-report", {"parameters": {}, "trials": []}),
     ],
 )
 def test_certificate_validation_rejects_malformed_payloads(kind, payload):
     with pytest.raises(PreconditionError):
         CertificateDocument(kind, payload).validate()
+
+
+@st.composite
+def documents(draw, kind):
+    """Valid documents of one kind, fields in arbitrary order and orientation."""
+    if kind == "reduction-trace":
+        g = random_graph(random.Random(draw(st.integers(0, 10**6))), draw(st.integers(3, 9)), 0.5)
+        x, y = draw(st.permutations(range(g.n)))[:2]
+        return reduce_instance(g, x, y)[1].to_document()
+    if kind == "experiment-report":
+        scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+        free = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=8,
+        )
+        return CertificateDocument(kind, {k: draw(free) for k in ("parameters", "trials", "rates")})
+    n = draw(st.integers(2, 12))
+    ids = st.integers(0, n - 1)
+    pairs = st.lists(st.lists(ids, min_size=2, max_size=2), unique_by=frozenset, max_size=20)
+    if kind == "hist":
+        fields = {"tree_edges": draw(pairs), "spanning": draw(st.booleans())}
+    elif kind == "sghg":
+        fields = {"tree_edges": draw(pairs), "leaf_cycle": draw(st.lists(ids))}
+    else:
+        star = st.fixed_dictionaries({"center": ids, "tips": st.lists(ids, max_size=4)})
+        fields = {"arity": draw(st.integers(-2, 5)), "stars": draw(st.lists(star, max_size=5))}
+    return CertificateDocument(kind, {"host_n": n, **fields})
+
+
+@pytest.mark.parametrize(
+    "kind", ["hist", "sghg", "matching", "reduction-trace", "experiment-report"]
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_emit_parse_emit_is_byte_stable(kind, data):
+    text = emit_certificate(data.draw(documents(kind)))
+    again = parse_certificate(text)
+    assert again.kind == kind
+    assert emit_certificate(again) == text
+
+
+@given(st.integers(0, 30), st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_edge_list_round_trip_property(n, rng):
+    g = random_graph(rng, n, rng.random())
+    text = emit_edge_list(g)
+    assert parse_edge_list(text) == g
+    assert emit_edge_list(parse_edge_list(text)) == text
 
 
 def test_hist_certificate_example():

@@ -1,8 +1,10 @@
-"""Pinned digests of the constructive builders' outputs.
+"""Pinned digests of the constructive builders' outputs and of emitted
+certificate documents.
 
 Refactors of the builder layer must keep every certificate and every
-walk byte-identical.  Each family below runs a small seeded corpus and
-hashes the outputs in order; a changed digest means some output changed.
+walk byte-identical, and refactors of the document layer every emitted
+document.  Each family below runs a small seeded corpus and hashes the
+outputs in order; a changed digest means some output changed.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ from itertools import permutations
 
 import pytest
 
+from halinlab.certify import HalinCertificate, StarPack, TreeCertificate
 from halinlab.constructive import (
     TripartiteHistPlan,
     bipartite_hist,
@@ -18,7 +21,12 @@ from halinlab.constructive import (
     tripartite_plan_error,
 )
 from halinlab.graph import Graph, VertexSetPair
+from halinlab.extremal import ExperimentReport, TrialRecord, trial_seed_hash
 from halinlab.hamiltonicity import moon_moser_cycle, ore_ham_path
+from halinlab.io_formats import CertificateDocument, emit_certificate
+from halinlab.reduction import reduce_instance
+
+from oracles import random_graph
 
 from test_constructive import feasible_bipartite_plans
 from test_hamiltonicity import random_ore_graph
@@ -74,6 +82,76 @@ def moon_moser_outputs():
             yield g.edges(), moon_moser_cycle(g, sides)
 
 
+def random_trees(seed: int):
+    """Random labelled trees, edges listed in random order and orientation."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randrange(3, 12)
+        order = rng.sample(range(n), n)
+        edges = [[order[i], order[rng.randrange(i)]] for i in range(1, n)]
+        rng.shuffle(edges)
+        yield rng, n, edges
+
+
+def hist_documents():
+    for rng, n, edges in random_trees(51):
+        yield emit_certificate(TreeCertificate(n, edges, rng.random() < 0.7).to_document())
+        raw = {"host_n": n, "tree_edges": edges, "spanning": True}
+        yield emit_certificate(CertificateDocument("hist", raw))
+
+
+def sghg_documents():
+    for rng, n, edges in random_trees(52):
+        tree = TreeCertificate(n, edges)
+        cycle = rng.sample(sorted(tree.leaves()), len(tree.leaves()))
+        yield emit_certificate(HalinCertificate(tree, cycle).to_document())
+        raw = {"host_n": n, "tree_edges": edges, "leaf_cycle": cycle}
+        yield emit_certificate(CertificateDocument("sghg", raw))
+
+
+def matching_documents():
+    rng = random.Random(53)
+    for _ in range(40):
+        n, arity = rng.randrange(2, 14), rng.randrange(1, 4)
+        pool = rng.sample(range(n), n)
+        stars = [
+            (pool[i], pool[i + 1 : i + 1 + arity])
+            for i in range(0, n - arity, arity + 1)
+        ]
+        yield emit_certificate(StarPack(stars, arity).to_document(n))
+
+
+def trace_documents():
+    rng = random.Random(54)
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(3, 10), rng.random())
+        x, y = rng.sample(range(g.n), 2)
+        yield emit_certificate(reduce_instance(g, x, y)[1].to_document())
+
+
+def report_documents():
+    rng = random.Random(55)
+    outcomes = ("sghg-found", "none", "unknown", "skipped")
+    for seed in range(20):
+        trials = [
+            TrialRecord(
+                i,
+                trial_seed_hash(seed, i),
+                rng.choice(outcomes),
+                rng.randrange(1000),
+                f"{rng.getrandbits(64):016x}" if rng.random() < 0.5 else None,
+            )
+            for i in range(rng.randrange(0, 6))
+        ]
+        params = {
+            "n": rng.randrange(4, 40),
+            "delta_fraction": round(rng.random(), 3),
+            "trials": len(trials),
+            "seed": seed,
+        }
+        yield emit_certificate(ExperimentReport(params, trials).to_document())
+
+
 def digest(outputs) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
@@ -110,4 +188,39 @@ def digest(outputs) -> tuple[int, str]:
     ids=["bipartite", "tripartite", "ore", "moon-moser"],
 )
 def test_builder_outputs_are_pinned(family, calls, expected):
+    assert digest(family()) == (calls, expected)
+
+
+@pytest.mark.parametrize(
+    "family, calls, expected",
+    [
+        (
+            hist_documents,
+            80,
+            "fd8646eeae48b40d67ef023b5f632347de3ce940703075e217c6c488c3fdfc21",
+        ),
+        (
+            sghg_documents,
+            80,
+            "be16277798d1462d36e0f52fcc87d5d3f5f236afc925ce1c2e404ca3504d54b9",
+        ),
+        (
+            matching_documents,
+            40,
+            "80496f5f27877a9aca5e8964245ddc773dd852d9e5192e710a7515d1d9ec1344",
+        ),
+        (
+            trace_documents,
+            40,
+            "30eef17ba9193e85ec2dcb74a4367091b718867ab74bfc85693399f9833231fe",
+        ),
+        (
+            report_documents,
+            20,
+            "b214782c83f96c30f7917cced7fd15cdfa22214034481544d02a44b67e098ac5",
+        ),
+    ],
+    ids=["hist", "sghg", "matching", "reduction-trace", "experiment-report"],
+)
+def test_emitted_documents_are_pinned(family, calls, expected):
     assert digest(family()) == (calls, expected)

@@ -172,3 +172,40 @@ def test_trace_document_round_trip():
     text = emit_certificate(trace.to_document())
     again = ReductionTrace.from_document(parse_certificate(text))
     assert again == trace
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pendant_ids", [5, 4]),
+        ("pendant_ids", [4]),
+        ("terminals", [0, 2]),
+        ("base_n", 5),
+        ("gadget_ids", [[6, 7, 8], [9, 11, 10]]),
+        ("cycle_edges", [[0, 6]]),
+    ],
+)
+def test_trace_document_must_match_its_terminals(field, value):
+    _, trace = reduce_instance(Graph.complete(4), 0, 1)
+    doc = trace.to_document()
+    doc.payload[field] = value
+    with pytest.raises(PreconditionError):
+        ReductionTrace.from_document(doc)
+
+
+def test_trace_document_of_another_kind_is_rejected():
+    doc = TreeCertificate(3, [(0, 1), (1, 2)]).to_document()
+    with pytest.raises(PreconditionError):
+        ReductionTrace.from_document(doc)
+
+
+def test_projection_builds_no_dump_on_success(monkeypatch):
+    g = Graph.complete(4)
+    gpp, trace = reduce_instance(g, 0, 1)
+    cert = lift_certificate(trace, (0, 2, 3, 1))
+
+    def no_dump(self):
+        raise AssertionError("trace document built on a successful projection")
+
+    monkeypatch.setattr(ReductionTrace, "to_document", no_dump)
+    assert project_certificate(gpp, trace, cert) == (0, 2, 3, 1)
