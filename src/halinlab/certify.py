@@ -130,11 +130,15 @@ class StarPack:
     arity 1 is a matching, 2 the wedge case, 3 the claw case.
     """
 
+    host_n: int
     stars: tuple[tuple[int, frozenset[int]], ...]
     arity: int
 
-    def __init__(self, stars: Iterable[tuple[int, Iterable[int]]], arity: int):
+    def __init__(
+        self, host_n: int, stars: Iterable[tuple[int, Iterable[int]]], arity: int
+    ):
         packed = tuple(sorted((c, frozenset(tips)) for c, tips in stars))
+        object.__setattr__(self, "host_n", host_n)
         object.__setattr__(self, "stars", packed)
         object.__setattr__(self, "arity", arity)
 
@@ -151,11 +155,11 @@ class StarPack:
     def edges(self) -> frozenset[Edge]:
         return _norm_edges((c, t) for c, tips in self.stars for t in tips)
 
-    def to_document(self, host_n: int) -> CertificateDocument:
+    def to_document(self) -> CertificateDocument:
         return CertificateDocument(
             "matching",
             {
-                "host_n": host_n,
+                "host_n": self.host_n,
                 "arity": self.arity,
                 "stars": [
                     {"center": c, "tips": sorted(tips)} for c, tips in self.stars
@@ -166,7 +170,8 @@ class StarPack:
     @staticmethod
     def from_document(doc: CertificateDocument) -> "StarPack":
         p = doc.payload_of("matching")
-        return StarPack([(s["center"], s["tips"]) for s in p["stars"]], p["arity"])
+        stars = [(s["center"], s["tips"]) for s in p["stars"]]
+        return StarPack(p["host_n"], stars, p["arity"])
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -269,7 +274,10 @@ def wheel_minor(h: HalinCertificate) -> tuple[int, tuple[int, ...]]:
 def verify_star_pack(
     g: Graph, p: StarPack, required_centers: Iterable[int] | None = None
 ) -> Verdict:
-    """Disjointness, host edges, uniform arity and the declared centers."""
+    """Host size, disjointness, host edges, uniform arity and the
+    declared centers."""
+    if p.host_n != g.n:
+        return Verdict(False, "host-mismatch", f"{p.host_n} != {g.n}")
     seen: set[int] = set()
     for c, tips in p.stars:
         if len(tips) != p.arity:

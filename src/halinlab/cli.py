@@ -367,7 +367,7 @@ def cmd_build_matching(args) -> int:
         f"max degree {g.max_degree()})"
     )
     verdict = verify_star_pack(g, pack, pack.centers())
-    return _emit(args, verdict, pack.to_document(g.n), summary)
+    return _emit(args, verdict, pack.to_document(), summary)
 
 
 def cmd_build_starpack(args) -> int:
@@ -378,7 +378,7 @@ def cmd_build_starpack(args) -> int:
         return EXIT_NEGATIVE
     summary = f"star pack found: {len(pack.stars)} stars of arity {args.arity}"
     verdict = verify_star_pack(g, pack, args.centers)
-    return _emit(args, verdict, pack.to_document(g.n), summary)
+    return _emit(args, verdict, pack.to_document(), summary)
 
 
 def cmd_gadget(args) -> int:

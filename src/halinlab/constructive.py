@@ -40,9 +40,6 @@ class DenseHistParams:
     def min_degree_floor(self, n: int) -> int:
         return math.ceil((2 / 3 - self.alpha_prime) * n)
 
-    def guarantee_holds(self, n: int) -> bool:
-        return n > 0 and 8 * self.alpha_prime + 6 / n < 1 / 3
-
 
 def absorb_pair(
     h: Graph, v1: set[int] | frozenset[int], alpha_prime: float
@@ -368,7 +365,7 @@ def matching_lower_bound(g: Graph) -> StarPack:
             for x in list(alive[w]):
                 alive[x].discard(w)
             alive[w].clear()
-    pack = StarPack([(u, (v,)) for u, v in chosen], arity=1)
+    pack = StarPack(g.n, [(u, (v,)) for u, v in chosen], arity=1)
     if 2 * max_deg * len(chosen) < g.edge_count:
         raise FalsificationError(
             "matching below the e/(2*maxdeg) bound",
@@ -443,4 +440,4 @@ def star_pack(
         for _ in range(arity):
             if not augment(c):
                 return None
-    return StarPack([(c, tuple(sorted(tips[c]))) for c in centers], arity)
+    return StarPack(g.n, [(c, tuple(sorted(tips[c]))) for c in centers], arity)

@@ -45,9 +45,6 @@ class ReductionTrace:
     def t(self) -> int:
         return len(self.z_order)
 
-    def pendant_of(self, z: int) -> int:
-        return self.pendant_ids[self.z_order.index(z)]
-
     def cycle_order(self) -> tuple[int, ...]:
         """The fixed cycle as a vertex sequence: x, gadget chains, y."""
         x, y = self.terminals

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: spanning trees by plain
 include/exclude enumeration, Hamiltonian cycles by permutations,
-connectivity by exhaustive vertex-cut enumeration, maximum matchings via
-networkx.  None of it shares pruning logic with the library's solvers.
+connectivity by exhaustive vertex-cut enumeration with networkx deciding
+each remainder, maximum matchings via networkx.  None of it shares
+pruning logic with the library's solvers.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def cut_connectivity_at_least(g: Graph, k: int) -> bool:
         for cut in combinations(range(g.n), size):
             rest = [v for v in range(g.n) if v not in cut]
             sub, _ = g.induced_subgraph(rest)
-            if not sub.is_connected():
+            if not nx.is_connected(to_networkx(sub)):
                 return False
     return True
 

@@ -107,25 +107,25 @@ def test_wheel_minor():
 def test_star_pack_verify():
     g = Graph.complete_bipartite(3, 9)
     stars = [(i, tuple(3 + 3 * i + j for j in range(3))) for i in range(3)]
-    pack = StarPack(stars, 3)
+    pack = StarPack(12, stars, 3)
     assert verify_star_pack(g, pack, {0, 1, 2})
     assert not verify_star_pack(g, pack, {0, 1})
     single = Graph(2, [(0, 1)])
-    assert verify_star_pack(single, StarPack([(0, (1,))], 1), {0})
-    overlapping = StarPack([(0, (3, 4)), (1, (4, 5))], 2)
+    assert verify_star_pack(single, StarPack(2, [(0, (1,))], 1), {0})
+    overlapping = StarPack(12, [(0, (3, 4)), (1, (4, 5))], 2)
     assert verify_star_pack(g, overlapping, {0, 1}).code == "stars-overlap"
     assert (
-        verify_star_pack(g, StarPack([(0, (3,))], 2), {0}).code == "bad-arity"
+        verify_star_pack(g, StarPack(12, [(0, (3,))], 2), {0}).code == "bad-arity"
     )
     assert (
-        verify_star_pack(Graph.empty(6), StarPack([(0, (3, 4))], 2), {0}).code
+        verify_star_pack(Graph.empty(6), StarPack(6, [(0, (3, 4))], 2), {0}).code
         == "star-edge-absent"
     )
 
 
 def test_star_pack_document_round_trip():
-    pack = StarPack([(0, (3, 4)), (1, (5, 6))], 2)
-    assert StarPack.from_document(pack.to_document(9)) == pack
+    pack = StarPack(9, [(0, (3, 4)), (1, (5, 6))], 2)
+    assert StarPack.from_document(pack.to_document()) == pack
     with pytest.raises(PreconditionError):
         StarPack.from_document(TreeCertificate(3, [(0, 1)]).to_document())
 

@@ -185,6 +185,16 @@ def test_verify_malformed_document(k4, tmp_path, kind, payload):
     assert main(["verify", "--graph", k4, "--cert", str(cert)]) == 12
 
 
+def test_verify_rejects_a_matching_for_another_host(tmp_path, capsys):
+    k5 = tmp_path / "k5.g6"
+    k5.write_bytes(emit_graph6(Graph.complete(5)) + b"\n")
+    payload = {"host_n": 2, "arity": 1, "stars": [{"center": 0, "tips": [1]}]}
+    cert = tmp_path / "m.json"
+    cert.write_text(json.dumps({"kind": "matching", "payload": payload}))
+    assert main(["verify", "--graph", str(k5), "--cert", str(cert)]) == 1
+    assert "invalid: host-mismatch 2 != 5" in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def reduced_k4(tmp_path_factory):
     """K_4 reduced for terminals (0, 1), a solved certificate, and the

@@ -114,6 +114,13 @@ def test_connectivity_against_cut_enumeration():
             ), (g.edges(), n, k)
 
 
+@given(graphs(max_n=10))
+@settings(max_examples=80, deadline=None)
+def test_connectivity_matches_the_cut_oracle(g):
+    for k in range(g.n + 2):
+        assert vertex_connectivity_at_least(g, k) == cut_connectivity_at_least(g, k)
+
+
 def test_bipartition_examples():
     g = Graph.complete_bipartite(3, 4)
     pair = bipartition(g)

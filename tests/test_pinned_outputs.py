@@ -1,10 +1,12 @@
-"""Pinned digests of the constructive builders' outputs and of emitted
-certificate documents.
+"""Pinned digests of the constructive builders' outputs, of emitted
+certificate documents and of the threshold lab's samples.
 
 Refactors of the builder layer must keep every certificate and every
-walk byte-identical, and refactors of the document layer every emitted
-document.  Each family below runs a small seeded corpus and hashes the
-outputs in order; a changed digest means some output changed.
+walk byte-identical, refactors of the document layer every emitted
+document, and refactors of the connectivity check every host the lab
+draws (each accept/reject decision moves the random stream).  Each
+family below runs a small seeded corpus and hashes the outputs in order;
+a changed digest means some output changed.
 """
 
 import hashlib
@@ -21,10 +23,18 @@ from halinlab.constructive import (
     tripartite_plan_error,
 )
 from halinlab.graph import Graph, VertexSetPair
-from halinlab.extremal import ExperimentReport, TrialRecord, trial_seed_hash
+from halinlab.extremal import (
+    ExperimentReport,
+    TrialRecord,
+    random_three_connected,
+    threshold_experiment,
+    trial_rng,
+    trial_seed_hash,
+)
 from halinlab.hamiltonicity import moon_moser_cycle, ore_ham_path
 from halinlab.io_formats import CertificateDocument, emit_certificate
 from halinlab.reduction import reduce_instance
+from halinlab.search import SearchBudget
 
 from oracles import random_graph
 
@@ -118,7 +128,7 @@ def matching_documents():
             (pool[i], pool[i + 1 : i + 1 + arity])
             for i in range(0, n - arity, arity + 1)
         ]
-        yield emit_certificate(StarPack(stars, arity).to_document(n))
+        yield emit_certificate(StarPack(n, stars, arity).to_document())
 
 
 def trace_documents():
@@ -150,6 +160,25 @@ def report_documents():
             "seed": seed,
         }
         yield emit_certificate(ExperimentReport(params, trials).to_document())
+
+
+def sampled_hosts():
+    """One-attempt draws pin single accept/reject decisions (most are
+    rejections); sixty-attempt draws pin the host after a run of them."""
+    for n in range(4, 25):
+        for floor in sorted({3, n // 3, n // 2, 2 * n // 3}):
+            for index in range(3):
+                for attempts in (1, 60):
+                    g = random_three_connected(n, floor, trial_rng(n, index), attempts)
+                    yield n, floor, index, attempts, None if g is None else g.edges()
+
+
+def threshold_reports():
+    for n, fraction, trials, seed in ((6, 0.5, 4, 0), (10, 0.45, 4, 1),
+                                      (16, 0.45, 4, 0), (20, 0.6, 3, 7)):
+        budget = SearchBudget(node_limit=200_000)
+        report = threshold_experiment(n, fraction, trials, seed, budget)
+        yield emit_certificate(report.to_document())
 
 
 def digest(outputs) -> tuple[int, str]:
@@ -223,4 +252,24 @@ def test_builder_outputs_are_pinned(family, calls, expected):
     ids=["hist", "sghg", "matching", "reduction-trace", "experiment-report"],
 )
 def test_emitted_documents_are_pinned(family, calls, expected):
+    assert digest(family()) == (calls, expected)
+
+
+@pytest.mark.parametrize(
+    "family, calls, expected",
+    [
+        (
+            sampled_hosts,
+            462,
+            "d54ebacb29d8e3907a65081200eaa9e139b29055aea4a5455601d15a62f15b14",
+        ),
+        (
+            threshold_reports,
+            4,
+            "5afe0678c9aadded5060711ee9f7e72486a6a81289ead46d9eb50b50e8001d44",
+        ),
+    ],
+    ids=["random-three-connected", "threshold-report"],
+)
+def test_threshold_lab_samples_are_pinned(family, calls, expected):
     assert digest(family()) == (calls, expected)
