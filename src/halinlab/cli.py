@@ -224,7 +224,8 @@ def build_parser() -> _Parser:
 
 def cmd_verify(args) -> int:
     g = _load(args)
-    doc = parse_certificate(open(args.cert, encoding="utf-8").read())
+    with open(args.cert, encoding="utf-8") as fh:
+        doc = parse_certificate(fh.read())
     if doc.kind == "hist":
         verdict = is_hist(g, TreeCertificate.from_document(doc))
     elif doc.kind == "sghg":
@@ -302,12 +303,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_project(args) -> int:
     g = _load(args)
-    trace = reduction.ReductionTrace.from_document(
-        parse_certificate(open(args.trace, encoding="utf-8").read())
-    )
-    cert = HalinCertificate.from_document(
-        parse_certificate(open(args.cert, encoding="utf-8").read())
-    )
+    with open(args.trace, encoding="utf-8") as fh:
+        trace = reduction.ReductionTrace.from_document(parse_certificate(fh.read()))
+    with open(args.cert, encoding="utf-8") as fh:
+        cert = HalinCertificate.from_document(parse_certificate(fh.read()))
     base = g.induced_subgraph(range(trace.base_n))[0]
     if reduction.reduce_instance(base, *trace.terminals)[0] != g:
         raise PreconditionError("graph is not the reduction instance of the trace")

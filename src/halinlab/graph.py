@@ -1,6 +1,7 @@
 """Immutable simple undirected graphs over dense vertex ids 0..n-1.
 
-Every other module consumes this representation.  Graphs are hashable,
+Every other module consumes this representation.  Adjacency is stored
+once, as one neighbour bitmask per vertex.  Graphs are hashable,
 comparable and safe to share between threads; all queries are pure.
 """
 
@@ -15,78 +16,79 @@ from .errors import PreconditionError
 Edge = tuple[int, int]
 
 
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
+def _bits(mask: int) -> list[int]:
+    """Ids of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Graph:
-    """Simple graph: no loops, no parallel edges, symmetric adjacency."""
+    """Simple graph: no loops, no parallel edges, symmetric adjacency.
 
-    __slots__ = ("n", "_edges", "_adj", "_masks")
+    Adjacency is stored once: bit w of `neighbor_mask(v)` is set iff vw is
+    an edge.  `neighbors()` and `edges()` build a fresh set or list from the
+    masks on each call (O(n) per vertex), so hot loops read `neighbor_mask`.
+    """
+
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise PreconditionError("vertex count must be nonnegative")
-        seen: set[Edge] = set()
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise PreconditionError(f"duplicate edge {e}")
-            seen.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            if masks[u] >> v & 1:
+                raise PreconditionError(f"duplicate edge {(min(u, v), max(u, v))}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self._edges = frozenset(seen)
-        self._adj = tuple(frozenset(s) for s in adj)
-        # Neighbor bitmasks speed up the solvers and connectivity checks.
-        self._masks = tuple(
-            sum(1 << w for w in s) for s in self._adj
-        )
+        self._masks = tuple(masks)
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def edges(self) -> list[Edge]:
-        return sorted(self._edges)
+        return [(u, v) for u, m in enumerate(self._masks) for v in _bits(m) if v > u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._edges if u != v else False
+        # The range check comes first: a negative u would index from the end.
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self._masks[u] >> v & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(_bits(self._masks[v]))
 
     def neighbor_mask(self, v: int) -> int:
         return self._masks[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def vertices(self) -> range:
         return range(self.n)
 
     def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.n)), default=0)
+        return min((m.bit_count() for m in self._masks), default=0)
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
+        return max((m.bit_count() for m in self._masks), default=0)
 
+    # One mask per vertex, so equal masks mean equal vertex counts too.
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._masks)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -103,7 +105,7 @@ class Graph:
         index = {v: i for i, v in enumerate(keep)}
         edges = [
             (index[u], index[v])
-            for u, v in self._edges
+            for u, v in self.edges()
             if u in index and v in index
         ]
         return Graph(len(keep), edges), keep

@@ -4,7 +4,7 @@ One tree search serves every solver.  `_TreeSearch.hists` branches on
 edges in lexicographic order (include before exclude) with an explicit
 stack, so input size never meets the recursion limit, and yields at every
 spanning HIST; the first one is the lexicographically least, which is why
-the first-found and canonical-first modes coincide.  Degree state per
+the first and canonical modes coincide.  Degree state per
 vertex drives the pruning: a vertex frozen at tree-degree 2 kills the
 branch immediately, and in SGHG mode the evolving committed-leaf set must
 stay cyclically feasible (two potential-leaf neighbors each, one
@@ -32,11 +32,11 @@ from .certify import HalinCertificate, TreeCertificate
 from .errors import BudgetExhausted, PreconditionError
 from .graph import Graph, VertexSetPair
 
-#: Accepted search modes.  The exhaustive ones enumerate and count every
-#: solution; the others stop at the first, which is the canonical one.
-MODES = frozenset(
-    {"first", "canonical", "canonical-first", "exhaustive", "exhaustive-count"}
-)
+#: Accepted search modes.  "exhaustive" enumerates and counts every
+#: solution; the others stop at the first, which today is the canonical
+#: one.  "first" stays separate because only it may give up lexicographic
+#: order, for most-constrained-first branching; "canonical" never will.
+MODES = frozenset({"first", "canonical", "exhaustive"})
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class SearchBudget:
 
     @property
     def exhaustive(self) -> bool:
-        return self.mode in ("exhaustive", "exhaustive-count")
+        return self.mode == "exhaustive"
 
 
 #: No limits, first-found: a complete existence proof when it terminates.
@@ -105,10 +105,7 @@ class _TreeSearch:
         self.nodes = 0
         n = g.n
         self.deg = [0] * n
-        self.und = [0] * n
-        for u, v in self.edges:
-            self.und[u] += 1
-            self.und[v] += 1
+        self.und = [g.degree(v) for v in range(n)]
         self.avail = [g.neighbor_mask(v) for v in range(n)]
         self.full = (1 << n) - 1
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -244,6 +245,17 @@ def test_project_rejects_a_hist_certificate(reduced_k4, k4, tmp_path):
     argv = ["project", "--graph", reduced_k4["gpp.g6"], "--trace", reduced_k4["trace.json"],
             "--cert", hist]
     assert main(argv) == 12
+
+
+@pytest.mark.parametrize("command", ["verify", "project"])
+def test_certificate_files_are_closed(reduced_k4, command):
+    argv = [command, "--graph", reduced_k4["gpp.g6"], "--cert", reduced_k4["cert.json"]]
+    if command == "project":
+        argv += ["--trace", reduced_k4["trace.json"]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_solver_output_is_verified_before_it_is_written(k4, monkeypatch, tmp_path, capsys):

@@ -25,13 +25,71 @@ def graphs(draw, max_n=9):
     return Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+@st.composite
+def edge_lists(draw, max_n=9):
+    """(n, edges) of a simple graph, edges in shuffled order and each pair
+    in either orientation."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))]
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+
+
 def test_rejects_bad_edges():
-    with pytest.raises(PreconditionError):
-        Graph(3, [(0, 0)])
-    with pytest.raises(PreconditionError):
-        Graph(3, [(0, 3)])
-    with pytest.raises(PreconditionError):
-        Graph(3, [(0, 1), (1, 0)])
+    # Each edge is checked for range, then self-loop, then repetition; the
+    # first bad edge decides the message.
+    cases = [
+        (3, [(0, 0)], "self-loop at vertex 0"),
+        (3, [(0, 3)], "edge (0,3) out of range for n=3"),
+        (3, [(-1, 2)], "edge (-1,2) out of range for n=3"),
+        (3, [(3, 3)], "edge (3,3) out of range for n=3"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+        (3, [(2, 1), (0, 2), (1, 2)], "duplicate edge (1, 2)"),
+        (3, [(1, 1), (0, 5)], "self-loop at vertex 1"),
+        (3, [(0, 1), (0, 1), (0, 7)], "duplicate edge (0, 1)"),
+        (-1, [], "vertex count must be nonnegative"),
+    ]
+    for n, edges, message in cases:
+        with pytest.raises(PreconditionError) as err:
+            Graph(n, edges)
+        assert str(err.value) == message
+
+
+@given(edge_lists(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_queries_match_a_set_of_pairs(case, data):
+    n, edges = case
+    g = Graph(n, edges)
+    pairs = {(min(e), max(e)) for e in edges}
+    assert g.edges() == sorted(pairs)
+    assert g.edge_count == len(pairs)
+    nbrs = [{w for e in pairs if v in e for w in e if w != v} for v in range(n)]
+    for v in range(n):
+        assert g.neighbors(v) == nbrs[v] and isinstance(g.neighbors(v), frozenset)
+        assert g.neighbor_mask(v) == sum(1 << w for w in nbrs[v])
+        assert g.degree(v) == len(nbrs[v])
+    assert g.min_degree() == min(map(len, nbrs), default=0)
+    assert g.max_degree() == max(map(len, nbrs), default=0)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) is ((min(u, v), max(u, v)) in pairs)
+    keep = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    sub, mapping = g.induced_subgraph(keep)
+    assert mapping == sorted(keep)
+    index = {v: i for i, v in enumerate(mapping)}
+    assert sub.n == len(keep) and sub.edges() == sorted(
+        (index[u], index[v]) for u, v in pairs if u in keep and v in keep
+    )
+    same = Graph(n, [(v, u) for u, v in reversed(edges)])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph(n + 1, edges)
+    if edges:
+        assert g != Graph(n, edges[1:])
+        u, v = edges[0]
+        message = rf"^duplicate edge \({min(u, v)}, {max(u, v)}\)$"
+        with pytest.raises(PreconditionError, match=message):
+            Graph(n, edges + [(v, u)])
 
 
 def test_basic_queries():

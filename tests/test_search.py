@@ -52,7 +52,7 @@ def test_find_hist_matches_tree_enumeration_oracle():
 
 def test_find_hist_canonical_is_lex_least():
     g = Graph.complete(5)
-    r = find_hist(g, SearchBudget(mode="canonical-first"))
+    r = find_hist(g, SearchBudget(mode="canonical"))
     assert sorted(r.certificate.edges) == min(
         sorted(t) for t in iter_hists(g)
     )
@@ -112,8 +112,11 @@ def test_budget_rejects_invalid_values(kwargs):
 
 
 def test_budget_accepts_every_mode_string():
-    modes = ["first", "canonical", "canonical-first", "exhaustive", "exhaustive-count"]
-    assert [SearchBudget(mode=m).exhaustive for m in modes] == [False] * 3 + [True] * 2
+    modes = ["first", "canonical", "exhaustive"]
+    assert [SearchBudget(mode=m).exhaustive for m in modes] == [False, False, True]
+    for alias in ("canonical-first", "exhaustive-count"):
+        with pytest.raises(PreconditionError):
+            SearchBudget(mode=alias)
 
 
 def test_budget_overrun_reports_no_partial_count():
