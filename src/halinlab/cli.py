@@ -120,6 +120,8 @@ def build_parser() -> _Parser:
     _add_graph_args(p)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
+    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_hampath)
 
     p = sub.add_parser("hamcycle", help="Hamiltonian cycle in a balanced bipartite graph")
@@ -263,13 +265,14 @@ def cmd_solve(args) -> int:
 
 def cmd_hampath(args) -> int:
     g = _load(args)
+    budget = SearchBudget(args.node_limit, args.time_limit)
     witness = hamiltonicity.check_ore_plus(g)
     if witness.holds:
         print("degree-sum condition: holds (constructive route)")
         path = hamiltonicity.ore_ham_path(g, args.x, args.y)
     else:
         print(f"degree-sum condition: fails at {witness.violating_pair} (exact search)")
-        path = ham_path_oracle(g, args.x, args.y)
+        path = ham_path_oracle(g, args.x, args.y, budget)
     if path is None:
         print("no hamiltonian path")
         return EXIT_NEGATIVE

@@ -74,9 +74,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._masks[v].bit_count()
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def min_degree(self) -> int:
         return min((m.bit_count() for m in self._masks), default=0)
 
@@ -109,10 +106,6 @@ class Graph:
             if u in index and v in index
         ]
         return Graph(len(keep), edges), keep
-
-    def is_connected(self) -> bool:
-        everyone = (1 << self.n) - 1
-        return self.n <= 1 or _reach(self._masks, 0, everyone) == everyone
 
     # -- constructors -----------------------------------------------------
 

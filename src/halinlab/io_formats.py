@@ -53,8 +53,12 @@ def _decode_n(data: bytes) -> tuple[int, int]:
 
 def emit_graph6(g: Graph) -> bytes:
     """Encode a graph as graph6 bytes; round-trips through parse_graph6."""
-    slots = ((u, v) for v in range(1, g.n) for u in range(v))
-    bits = "".join("1" if g.has_edge(u, v) else "0" for u, v in slots)
+    # Column v of the upper triangle lists rows u < v: the low v bits of
+    # v's neighbour mask, lowest row first.
+    bits = "".join(
+        format(g.neighbor_mask(v) & ((1 << v) - 1), f"0{v}b")[::-1]
+        for v in range(1, g.n)
+    )
     bits += "0" * (-len(bits) % 6)
     body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
     return _encode_n(g.n) + body

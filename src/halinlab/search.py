@@ -8,11 +8,25 @@ the first and canonical modes coincide.  Degree state per
 vertex drives the pruning: a vertex frozen at tree-degree 2 kills the
 branch immediately, and in SGHG mode the evolving committed-leaf set must
 stay cyclically feasible (two potential-leaf neighbors each, one
-component) at every node.
+component) at every node.  SGHG mode on n > 2 vertices adds three leaf
+rules, kept up incrementally in the include and exclude steps:
+
+- forced leaf: a vertex with deg <= 1 and deg + und <= 2 (tree degree
+  and undecided edges) can only end as a leaf, so it is committed at once
+  (at the root, every vertex of host degree <= 2);
+- leaf adjacency: the tree neighbour of a committed leaf is internal, so
+  it leaves the potential leaves; a committed vertex outside them fails;
+- bipartite balance: the leaf cycle alternates sides, so on a bipartite
+  host with sides A, B neither |com & A| > |pot & B| nor
+  |com & B| > |pot & A| may hold.
+
+Each rule cuts only subtrees that hold no SGHG, so every certificate and
+every exhaustive count is the same as without them.  HIST search tracks
+no leaves.
 
 One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
 oracle and the leaf cycles of SGHG search; its nodes count against the
-tree search's budget.
+same kind of budget, through `_Meter`.
 
 `_solve` maps a search into a `SearchResult` once for every solver.
 Budgets make "unknown" a first-class outcome distinct from a proved
@@ -89,27 +103,15 @@ class SearchResult:
 _ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
-class _TreeSearch:
-    """Edge include/exclude DFS enumerating spanning HISTs of g."""
+class _Meter:
+    """Counts search nodes against a budget's node and time limits."""
 
-    def __init__(self, g: Graph, cycle_mode: bool, budget: SearchBudget):
-        self.g = g
-        self.n = g.n
-        self.edges = g.edges()
-        self.m = len(self.edges)
-        self.cycle_mode = cycle_mode
+    def __init__(self, budget: SearchBudget):
         self.node_limit = budget.node_limit
         self.deadline = (
             None if budget.time_limit is None else time.monotonic() + budget.time_limit
         )
         self.nodes = 0
-        n = g.n
-        self.deg = [0] * n
-        self.und = [g.degree(v) for v in range(n)]
-        self.avail = [g.neighbor_mask(v) for v in range(n)]
-        self.full = (1 << n) - 1
-
-    # -- bookkeeping -------------------------------------------------------
 
     def tick(self) -> None:
         self.nodes += 1
@@ -118,6 +120,35 @@ class _TreeSearch:
         if self.deadline is not None and self.nodes % 1024 == 0:
             if time.monotonic() > self.deadline:
                 raise BudgetExhausted("time limit hit")
+
+
+class _TreeSearch(_Meter):
+    """Edge include/exclude DFS enumerating spanning HISTs of g."""
+
+    def __init__(self, g: Graph, cycle_mode: bool, budget: SearchBudget):
+        super().__init__(budget)
+        self.g = g
+        self.n = g.n
+        self.edges = g.edges()
+        self.m = len(self.edges)
+        self.cycle_mode = cycle_mode
+        n = g.n
+        self.deg = [0] * n
+        self.und = [g.degree(v) for v in range(n)]
+        self.avail = [g.neighbor_mask(v) for v in range(n)]
+        self.full = (1 << n) - 1
+        # A vertex with deg <= 1 and deg + und <= 2 can only end as a leaf;
+        # SGHG search commits it as soon as deg + und reaches `room` (only
+        # exclusions lower it).  The leaf rules assume n > 2: on two
+        # vertices both leaves are tree neighbours (and no leaf cycle
+        # exists anyway).  HIST search tracks no leaves: room 0 commits at
+        # most a lone vertex, and the exclude step then runs only its
+        # dead-end check.
+        prune = cycle_mode and n > 2
+        self.room = 2 if prune else 0
+        self.sides = self._sides() if prune else (0, 0)
+
+    # -- bookkeeping -------------------------------------------------------
 
     def _connected_avail(self) -> bool:
         avail = self.avail
@@ -133,6 +164,27 @@ class _TreeSearch:
             visited |= frontier
         return visited == self.full
 
+    def _sides(self) -> tuple[int, int]:
+        """The two colour classes of the host as bitmasks, or (0, 0) if it
+        is not bipartite (only read once the host is known connected)."""
+        masks = self.g._masks
+        classes = [0, 0]
+        seen = frontier = 1
+        parity = 0
+        while frontier:
+            classes[parity] |= frontier
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= masks[low.bit_length() - 1]
+                frontier ^= low
+            if nxt & classes[parity]:  # an edge inside one BFS layer
+                return 0, 0
+            frontier = nxt & ~seen
+            seen |= frontier
+            parity ^= 1
+        return classes[0], classes[1]
+
     def _cycle_feasible(self, pot: int, com: int) -> bool:
         """Can the committed leaves `com` still lie on one cycle through
         potential leaves `pot`?"""
@@ -140,6 +192,15 @@ class _TreeSearch:
             return False
         if not com:
             return True
+        if com & ~pot:  # a committed leaf is tree neighbour of another
+            return False
+        side_a, side_b = self.sides
+        if side_a and (
+            (com & side_a).bit_count() > (pot & side_b).bit_count()
+            or (com & side_b).bit_count() > (pot & side_a).bit_count()
+        ):
+            # The leaf cycle alternates sides, so |L & A| == |L & B|.
+            return False
         masks = self.g._masks
         rest = com
         while rest:
@@ -171,14 +232,17 @@ class _TreeSearch:
         if self.n == 0 or m < n1 or not self._connected_avail():
             return
         edges, deg, und, avail = self.edges, self.deg, self.und, self.avail
-        cycle_mode, tick = self.cycle_mode, self.tick
+        cycle_mode, tick, room = self.cycle_mode, self.tick, self.room
         connected, cycle_feasible = self._connected_avail, self._cycle_feasible
         parent = list(range(self.n))
         rank = [1] * self.n
         included: list[tuple[int, int]] = []
         needy = 0  # vertices currently at tree-degree exactly 2
-        potential = self.full  # deg <= 1, may still end as a leaf
-        committed = 0  # deg == 1 with no undecided edges left
+        # potential: vertices that may still end as leaves (deg <= 1 and,
+        # in SGHG search, not the tree neighbour of a committed leaf);
+        # committed: vertices that must end as leaves.
+        potential = self.full
+        committed = sum(1 << w for w in range(self.n) if und[w] <= room)
         # Level i decides edge i; these hold its step, the union-find root
         # it attached, and the leaf masks to restore when it is left.
         step = [_ENTER] * (m + 1)
@@ -227,8 +291,10 @@ class _TreeSearch:
                                 feasible = False
                         elif dw == 3:
                             needy -= 1
-                        elif dw == 1 and und[w] == 0:
-                            committed |= 1 << w
+                        elif dw == 1 and und[w] < room:
+                            # w is committed (deg + und did not change);
+                            # its tree neighbour is internal.
+                            potential &= ~(1 << (u ^ v ^ w))
                     if feasible and cycle_mode:
                         feasible = cycle_feasible(potential, committed)
                     step[i] = _INCLUDED
@@ -263,16 +329,19 @@ class _TreeSearch:
             # exclude branch of edge i
             avail[u] &= ~(1 << v)
             avail[v] &= ~(1 << u)
-            und[u] -= 1
-            und[v] -= 1
             feasible = True
             for w in (u, v):
-                if und[w] == 0:
+                uw = und[w] - 1
+                und[w] = uw
+                if uw <= room:
                     dw = deg[w]
-                    if dw == 0 or dw == 2:
-                        feasible = False
-                    elif dw == 1:
+                    if uw == 0:
+                        if dw == 0 or dw == 2:
+                            feasible = False
+                    elif dw + uw == room and dw < 2:
                         committed |= 1 << w
+                        if dw:  # its tree neighbour is internal
+                            potential &= ~(1 << _tree_neighbour(included, w))
             if feasible:
                 feasible = connected()
             if feasible and cycle_mode:
@@ -300,6 +369,11 @@ class _TreeSearch:
             yield tuple(leaves[j] for j in walk)
 
 
+def _tree_neighbour(included: list[tuple[int, int]], w: int) -> int:
+    """The other end of the one included edge at w (tree degree 1)."""
+    return next(a ^ b ^ w for a, b in included if w == a or w == b)
+
+
 # -- Hamiltonian walks -------------------------------------------------------
 
 
@@ -307,14 +381,14 @@ def _ham_walks(
     adj: Sequence[int],
     start: int,
     end: int | None,
-    tick: Callable[[], None] | None,
+    tick: Callable[[], None],
 ) -> Iterator[tuple[int, ...]]:
     """Hamiltonian walks of the graph with bitmask adjacency `adj`.
 
     With an `end`, yields every Hamiltonian start-end path; without one,
     every Hamiltonian cycle through `start`, once per reflection (second
     vertex smaller than the last).  Walks come in DFS order, smaller
-    neighbor first; `tick`, if given, runs once per search node.
+    neighbor first; `tick` runs once per search node.
     """
     full = (1 << len(adj)) - 1
     endbit = 1 << (start if end is None else end)
@@ -325,8 +399,7 @@ def _ham_walks(
     while True:
         path.append(cur)
         used |= 1 << cur
-        if tick is not None:
-            tick()
+        tick()
         todo = 0
         if used == full:
             # A path enters `end` only as its last vertex, so it ends there.
@@ -414,13 +487,19 @@ def find_sghg(g: Graph, budget: SearchBudget = UNBOUNDED) -> SearchResult:
     return _solve(g, budget, True)
 
 
-def ham_path_oracle(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
-    """Exhaustive Hamiltonian (x,y)-path search; None proves nonexistence."""
+def ham_path_oracle(
+    g: Graph, x: int, y: int, budget: SearchBudget = UNBOUNDED
+) -> tuple[int, ...] | None:
+    """Exhaustive Hamiltonian (x,y)-path search; None proves nonexistence.
+
+    The budget's node and time limits apply as in the tree search (its
+    mode is ignored); an overrun raises BudgetExhausted.
+    """
     if x == y:
         raise PreconditionError("endpoints must differ")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise PreconditionError("endpoint out of range")
-    return next(_ham_walks(g._masks, x, y, None), None)
+    return next(_ham_walks(g._masks, x, y, _Meter(budget).tick), None)
 
 
 def balanced_leaf_hist_exists(

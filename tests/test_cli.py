@@ -148,6 +148,18 @@ def test_hampath_bad_terminal_is_a_precondition_error(tmp_path, terminals):
     assert main(["hampath", "--graph", str(k6), *terminals]) == 12
 
 
+def test_hampath_exact_search_honours_the_node_limit(tmp_path, capsys):
+    # K_{6,9} fails the degree-sum condition, so the exact search runs;
+    # no Hamiltonian path joins two vertices of the small side, and an
+    # unbounded search takes about a second to prove it.
+    path = tmp_path / "k69.g6"
+    path.write_bytes(emit_graph6(Graph.complete_bipartite(6, 9)) + b"\n")
+    argv = ["hampath", "--graph", str(path), "--x", "0", "--y", "1"]
+    assert main([*argv, "--node-limit", "1000"]) == 2
+    assert "node limit 1000 hit" in capsys.readouterr().err
+    assert main([*argv, "--node-limit", "0"]) == 12
+
+
 @pytest.mark.parametrize(
     "centers, tips", [("0,q", "1,2"), ("0", "1,,2"), ("-1", "1,2")]
 )

@@ -1,17 +1,19 @@
 """Pinned digests of the constructive builders' outputs, of emitted
-certificate documents and of the threshold lab's samples.
+certificate documents, of the threshold lab's samples and of the SGHG
+search's certificates.
 
 Refactors of the builder layer must keep every certificate and every
 walk byte-identical, refactors of the document layer every emitted
-document, and refactors of the connectivity check every host the lab
-draws (each accept/reject decision moves the random stream).  Each
+document, refactors of the connectivity check every host the lab
+draws (each accept/reject decision moves the random stream), and
+pruning in the tree search every certificate it returns.  Each
 family below runs a small seeded corpus and hashes the outputs in order;
 a changed digest means some output changed.
 """
 
 import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -34,7 +36,7 @@ from halinlab.extremal import (
 from halinlab.hamiltonicity import moon_moser_cycle, ore_ham_path
 from halinlab.io_formats import CertificateDocument, emit_certificate
 from halinlab.reduction import reduce_instance
-from halinlab.search import SearchBudget
+from halinlab.search import SearchBudget, find_sghg
 
 from oracles import random_graph
 
@@ -181,6 +183,31 @@ def threshold_reports():
         yield emit_certificate(report.to_document())
 
 
+def search_hosts():
+    """Every labeled reduction instance at n=4, sparse and dense random
+    hosts (many with vertices of degree at most 2) and small complete
+    bipartite hosts."""
+    pairs = list(combinations(range(4), 2))
+    for mask in range(1 << len(pairs)):
+        g = Graph(4, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        for x, y in pairs:
+            yield reduce_instance(g, x, y)[0]
+    rng = random.Random(61)
+    for _ in range(120):
+        yield random_graph(rng, rng.randrange(4, 10), rng.choice([0.3, 0.5, 0.7, 0.9]))
+    for a in range(2, 5):
+        for b in range(a, 6):
+            yield Graph.complete_bipartite(a, b)
+
+
+def search_certificates():
+    for g in search_hosts():
+        for mode in ("first", "canonical"):
+            r = find_sghg(g, SearchBudget(mode=mode))
+            cert = r.certificate
+            yield mode, r.status, cert and (sorted(cert.tree.edges), cert.leaf_cycle)
+
+
 def digest(outputs) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
@@ -273,3 +300,10 @@ def test_emitted_documents_are_pinned(family, calls, expected):
 )
 def test_threshold_lab_samples_are_pinned(family, calls, expected):
     assert digest(family()) == (calls, expected)
+
+
+def test_search_certificates_are_pinned():
+    assert digest(search_certificates()) == (
+        1026,
+        "5e02e0fea7e7e90477af6eb819af2717fac5401b7dba6bca59e4908505c5b03b",
+    )

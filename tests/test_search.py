@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halinlab.certify import is_generalized_halin, is_hist
-from halinlab.errors import PreconditionError
+from halinlab.errors import BudgetExhausted, PreconditionError
 from halinlab.graph import Graph, VertexSetPair, bipartition
 from halinlab.search import (
     EXHAUSTIVE,
@@ -132,11 +134,12 @@ def test_budget_overrun_reports_no_partial_count():
 @pytest.mark.parametrize(
     "solver, g, budget, status, nodes, count",
     [
-        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 17_528, 0),
-        (find_sghg, Graph.complete(6), EXHAUSTIVE, "found", 2_858, 342),
+        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 4_396, 0),
+        (find_sghg, Graph.complete(6), EXHAUSTIVE, "found", 2_783, 342),
         (find_hist, Graph.complete(5), EXHAUSTIVE, "found", 131, 5),
         (find_sghg, Graph.complete(7), UNBOUNDED, "found", 13, None),
         (find_hist, Graph.complete_bipartite(3, 4), UNBOUNDED, "found", 10, None),
+        (find_sghg, Graph.complete_bipartite(4, 4), EXHAUSTIVE, "found", 1_958, 96),
     ],
 )
 def test_node_counts_are_pinned(solver, g, budget, status, nodes, count):
@@ -159,6 +162,13 @@ def test_ham_path_oracle_examples():
     assert ham_path_oracle(star, 1, 2) is None
     with pytest.raises(PreconditionError):
         ham_path_oracle(p4, 1, 1)
+
+
+def test_ham_path_oracle_honours_its_budget():
+    k36 = Graph.complete_bipartite(3, 6)  # no path between 0 and 1
+    with pytest.raises(BudgetExhausted):
+        ham_path_oracle(k36, 0, 1, SearchBudget(node_limit=10))
+    assert ham_path_oracle(k36, 0, 1, SearchBudget(node_limit=10**6)) is None
 
 
 def test_ham_path_oracle_on_petersen_adjacent_pair():
@@ -210,6 +220,34 @@ def test_exhaustive_agrees_with_naive_oracle_small():
         assert ours.found == (naive is not None), g.edges()
         if ours.found:
             assert is_generalized_halin(g, ours.certificate)
+
+
+@st.composite
+def sghg_hosts(draw, max_n=8):
+    """Hosts on at most max_n vertices: arbitrary ones (about half the
+    pairs), sparse ones (about a quarter), where vertices of degree at most
+    2 are common, and dense bipartite ones (about three quarters of the
+    pairs across a drawn split)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind, cut = draw(st.sampled_from([("any", 2), ("sparse", 3), ("bipartite", 1)]))
+    split = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if kind != "bipartite" or u < split <= v
+    ]
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k >= cut])
+
+
+@given(sghg_hosts())
+@settings(max_examples=200, deadline=None)
+def test_find_sghg_agrees_with_naive_oracle(g):
+    ours = find_sghg(g)
+    assert ours.found == (naive_sghg(g) is not None), g.edges()
+    if ours.found:
+        assert is_generalized_halin(g, ours.certificate)
 
 
 def iter_nonisomorphic(n):
