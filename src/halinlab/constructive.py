@@ -352,19 +352,16 @@ def matching_lower_bound(g: Graph) -> StarPack:
     if g.edge_count < 1:
         raise PreconditionError("graph has no edges")
     max_deg = g.max_degree()
-    alive = [set(g.neighbors(v)) for v in range(g.n)]
     chosen: list[Edge] = []
     # The smallest remaining edge always has a nondecreasing first
     # endpoint, so one ascending sweep realizes the lex-least greedy.
+    taken = 0
     for u in range(g.n):
-        if not alive[u]:
-            continue
-        v = min(alive[u])
-        chosen.append((u, v))
-        for w in (u, v):
-            for x in list(alive[w]):
-                alive[x].discard(w)
-            alive[w].clear()
+        free = 0 if taken >> u & 1 else g.neighbor_mask(u) & ~taken
+        if free:
+            v = free & -free
+            chosen.append((u, v.bit_length() - 1))
+            taken |= 1 << u | v
     pack = StarPack(g.n, [(u, (v,)) for u, v in chosen], arity=1)
     if 2 * max_deg * len(chosen) < g.edge_count:
         raise FalsificationError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .certify import TreeCertificate
 from .errors import FalsificationError, PreconditionError
-from .graph import Graph
+from .graph import Graph, edge_inside
 
 Edge = tuple[int, int]
 
@@ -39,12 +39,8 @@ class InsertionInstance:
             raise PreconditionError("sides and inserted set must be disjoint")
         if a | b | i != set(range(self.host.n)):
             raise PreconditionError("sides and inserted set must cover the host")
-        for u, v in self.host.edges():
-            for side in (a, b, i):
-                if u in side and v in side:
-                    raise PreconditionError(
-                        f"edge {u}-{v} inside one class of the instance"
-                    )
+        if edge := edge_inside(self.host, a, b, i):
+            raise PreconditionError("edge {}-{} inside one class of the instance".format(*edge))
 
     @property
     def size(self) -> int:

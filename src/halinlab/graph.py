@@ -32,6 +32,8 @@ class Graph:
     Adjacency is stored once: bit w of `neighbor_mask(v)` is set iff vw is
     an edge.  `neighbors()` and `edges()` build a fresh set or list from the
     masks on each call (O(n) per vertex), so hot loops read `neighbor_mask`.
+    `_from_masks` trusts its masks and checks nothing: it is for the graph6
+    decoder only, whose format cannot encode a loop or a bad edge.
     """
 
     __slots__ = ("n", "_masks")
@@ -51,6 +53,13 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self._masks = tuple(masks)
+
+    @classmethod
+    def _from_masks(cls, masks: Iterable[int]) -> "Graph":
+        g = cls.__new__(cls)
+        g._masks = tuple(masks)
+        g.n = len(g._masks)
+        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -159,12 +168,9 @@ def degree_between(g: Graph, p: VertexSetPair) -> tuple[int, int, int]:
     """(min, max) over `p.left` of degree into `p.right`, plus the
     number of edges between the two sets."""
     p.validate_for(g)
-    right = p.right
-    degs = [len(g.neighbors(u) & right) for u in sorted(p.left)]
-    edge_count = sum(degs)
-    if not degs:
-        return (0, 0, 0)
-    return (min(degs), max(degs), edge_count)
+    right = sum(1 << v for v in p.right)
+    degs = [(g.neighbor_mask(u) & right).bit_count() for u in p.left]
+    return (min(degs), max(degs), sum(degs)) if degs else (0, 0, 0)
 
 
 def bipartition(g: Graph) -> VertexSetPair | None:
@@ -173,23 +179,44 @@ def bipartition(g: Graph) -> VertexSetPair | None:
     Within each connected component the lowest-indexed vertex lands on
     the left side, making the output deterministic.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    left = [v for v in range(g.n) if color[v] == 0]
-    right = [v for v in range(g.n) if color[v] == 1]
-    return VertexSetPair(left, right)
+    classes = colour_classes(g)
+    return None if classes is None else VertexSetPair(*map(_bits, classes))
+
+
+def colour_classes(g: Graph) -> tuple[int, int] | None:
+    """bipartition() as two bitmasks, by BFS one layer at a time: an odd
+    cycle shows as an edge inside one layer."""
+    masks = g._masks
+    classes = [0, 0]
+    rest = (1 << g.n) - 1
+    while rest:
+        frontier = rest & -rest
+        parity = 0
+        while frontier:
+            classes[parity] |= frontier
+            rest ^= frontier
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= masks[low.bit_length() - 1]
+                frontier ^= low
+            if grown & classes[parity]:
+                return None
+            frontier = grown & rest
+            parity ^= 1
+    return classes[0], classes[1]
+
+
+def edge_inside(g: Graph, *parts: Iterable[int]) -> Edge | None:
+    """The lexicographically first edge with both ends in one of `parts`
+    (disjoint vertex sets of g), or None."""
+    part_masks = [sum(1 << v for v in part) for part in parts]
+    for u, mask in enumerate(g._masks):
+        part = next((p for p in part_masks if p >> u & 1), 0)
+        inside = mask & part & -(2 << u)  # above u: met at its lower end
+        if inside:
+            return u, (inside & -inside).bit_length() - 1
+    return None
 
 
 # -- vertex connectivity ---------------------------------------------------

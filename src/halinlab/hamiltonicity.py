@@ -16,10 +16,9 @@ raised as a falsification event, never retried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import FalsificationError, PreconditionError
-from .graph import Graph, VertexSetPair
+from .graph import Graph, VertexSetPair, edge_inside
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,18 @@ class OreWitness:
 
 
 def check_ore_plus(g: Graph) -> OreWitness:
-    """Exact scan: every nonadjacent pair needs d(x)+d(y) >= n+1."""
-    for u, v in combinations(range(g.n), 2):
-        if not g.has_edge(u, v) and g.degree(u) + g.degree(v) <= g.n:
-            return OreWitness((u, v))
+    """Exact scan: every nonadjacent pair needs d(x)+d(y) >= n+1; the
+    witness is the lexicographically first pair that fails."""
+    n = g.n
+    at_most = [0] * (n + 1)  # at_most[t]: the vertices of degree <= t
+    for v in range(n):
+        at_most[g.degree(v)] |= 1 << v
+    for t in range(1, n + 1):
+        at_most[t] |= at_most[t - 1]
+    for u in range(n):
+        bad = at_most[n - g.degree(u)] & ~g.neighbor_mask(u) & -(2 << u)
+        if bad:
+            return OreWitness((u, (bad & -bad).bit_length() - 1))
     return OreWitness(None)
 
 
@@ -158,9 +165,8 @@ def moon_moser_cycle(
         raise PreconditionError("sides must be balanced with at least 2 each")
     if set(left) | set(right) != set(range(g.n)):
         raise PreconditionError("sides must cover the vertex set")
-    for u, v in g.edges():
-        if (u in sides.left) == (v in sides.left):
-            raise PreconditionError(f"edge {u}-{v} inside one side")
+    if edge := edge_inside(g, left, right):
+        raise PreconditionError("edge {}-{} inside one side".format(*edge))
     for u in left:
         for v in right:
             if not g.has_edge(u, v) and g.degree(u) + g.degree(v) <= m:

@@ -1,10 +1,13 @@
 """Interchange formats: graph6, plain edge lists, certificate documents.
 
 graph6 follows the standard bit packing: 6 bits per character, offset 63,
-adjacency bits in upper-triangle column order.  Certificate documents are
-UTF-8 JSON records with sorted keys so re-emission is byte-stable; the
-`_SCHEMAS` table describes every kind once, and validation, canonical
-emission and the id range checks all read it.
+adjacency bits in upper-triangle column order.  The decoder reads each
+neighbour bitmask straight off the bit string (a vertex's column of the
+triangle, then its row) and hands the masks to the trusted, unchecked
+`Graph._from_masks`: graph6 cannot encode a bad edge.  Certificate
+documents are UTF-8 JSON records with sorted keys so re-emission is
+byte-stable; the `_SCHEMAS` table describes every kind once, and
+validation, canonical emission and the id range checks all read it.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ def emit_graph6(g: Graph) -> bytes:
     return _encode_n(g.n) + body
 
 
+# The six bits of every graph6 byte, and "" for a byte outside 63..126.
+_SIX_BITS = [format(c - 63, "06b") if 63 <= c <= 126 else "" for c in range(256)]
+
+
 def parse_graph6(text: bytes | str) -> Graph:
     """Decode one graph6 value (optionally prefixed with '>>graph6<<')."""
     data = text.encode("ascii") if isinstance(text, str) else text
@@ -80,22 +87,19 @@ def parse_graph6(text: bytes | str) -> Graph:
         )
     if len(body) > need:
         raise ParseError("trailing bytes after graph6 payload", used + need)
-    bits: list[int] = []
-    for i, c in enumerate(body):
-        if not 63 <= c <= 126:
-            raise ParseError(f"out-of-range character {c}", used + i)
-        val = c - 63
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    if any(bits[idx:]):
+    bits = "".join(map(_SIX_BITS.__getitem__, body))
+    if len(bits) < 6 * len(body):
+        i = next(i for i, c in enumerate(body) if not _SIX_BITS[c])
+        raise ParseError(f"out-of-range character {body[i]}", used + i)
+    if "1" in bits[n * (n - 1) // 2 :]:
         raise ParseError("nonzero padding bits", used + need - 1)
-    return Graph(n, edges)
+    # Column v (rows u < v) gives v's neighbours below v; padded to n and
+    # transposed, the columns give each vertex's neighbours above it.
+    cols = [bits[v * (v - 1) // 2 : v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
+    return Graph._from_masks(
+        int(col[::-1], 2) | int("".join(row)[::-1], 2)
+        for col, row in zip(cols, zip(*cols))
+    )
 
 
 # -- edge lists ---------------------------------------------------------------

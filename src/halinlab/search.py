@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 
 from .certify import HalinCertificate, TreeCertificate
 from .errors import BudgetExhausted, PreconditionError
-from .graph import Graph, VertexSetPair
+from .graph import Graph, VertexSetPair, colour_classes, edge_inside
 
 #: Accepted search modes.  "exhaustive" enumerates and counts every
 #: solution; the others stop at the first, which today is the canonical
@@ -146,7 +146,7 @@ class _TreeSearch(_Meter):
         # dead-end check.
         prune = cycle_mode and n > 2
         self.room = 2 if prune else 0
-        self.sides = self._sides() if prune else (0, 0)
+        self.sides = (colour_classes(g) or (0, 0)) if prune else (0, 0)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -163,27 +163,6 @@ class _TreeSearch(_Meter):
             frontier = nxt & ~visited
             visited |= frontier
         return visited == self.full
-
-    def _sides(self) -> tuple[int, int]:
-        """The two colour classes of the host as bitmasks, or (0, 0) if it
-        is not bipartite (only read once the host is known connected)."""
-        masks = self.g._masks
-        classes = [0, 0]
-        seen = frontier = 1
-        parity = 0
-        while frontier:
-            classes[parity] |= frontier
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= masks[low.bit_length() - 1]
-                frontier ^= low
-            if nxt & classes[parity]:  # an edge inside one BFS layer
-                return 0, 0
-            frontier = nxt & ~seen
-            seen |= frontier
-            parity ^= 1
-        return classes[0], classes[1]
 
     def _cycle_feasible(self, pot: int, com: int) -> bool:
         """Can the committed leaves `com` still lie on one cycle through
@@ -514,9 +493,8 @@ def balanced_leaf_hist_exists(
     left, right = partition.left, partition.right
     if left | right != set(range(g.n)) or left & right:
         raise PreconditionError("partition must cover the vertex set")
-    for u, v in g.edges():
-        if (u in left) == (v in left):
-            raise PreconditionError(f"edge {u}-{v} inside one partition side")
+    if edge := edge_inside(g, left, right):
+        raise PreconditionError("edge {}-{} inside one partition side".format(*edge))
     search = _TreeSearch(g, False, budget)
     for _ in search.hists():
         leaves = search.leaf_set()

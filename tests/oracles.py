@@ -98,6 +98,32 @@ def brute_ham_path(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
     return None
 
 
+def pair_scan_ore_witness(g: Graph) -> tuple[int, int] | None:
+    """First nonadjacent pair u < v, in lexicographic order, with
+    d(u) + d(v) <= n: a scan over every vertex pair."""
+    for u, v in combinations(range(g.n), 2):
+        if not g.has_edge(u, v) and g.degree(u) + g.degree(v) <= g.n:
+            return (u, v)
+    return None
+
+
+def set_greedy_matching(g: Graph) -> list[tuple[int, int]]:
+    """Lex-least greedy matching on per-vertex neighbour sets: match u to
+    its least live neighbour, then delete both ends from every set."""
+    alive = [set(g.neighbors(v)) for v in range(g.n)]
+    chosen = []
+    for u in range(g.n):
+        if not alive[u]:
+            continue
+        v = min(alive[u])
+        chosen.append((u, v))
+        for w in (u, v):
+            for x in list(alive[w]):
+                alive[x].discard(w)
+            alive[w].clear()
+    return chosen
+
+
 def cut_connectivity_at_least(g: Graph, k: int) -> bool:
     """Exhaustive vertex-cut check (documented oracle for n <= 12)."""
     if k == 0:

@@ -21,7 +21,12 @@ from halinlab.constructive import (
 from halinlab.errors import PreconditionError
 from halinlab.graph import Graph, VertexSetPair, degree_between
 
-from oracles import max_matching_size, random_graph, random_graph_min_degree
+from oracles import (
+    max_matching_size,
+    random_graph,
+    random_graph_min_degree,
+    set_greedy_matching,
+)
 
 
 # -- dense host builder --------------------------------------------------------
@@ -220,6 +225,16 @@ def test_matching_bound_random():
         size = len(pack.stars)
         assert 2 * g.max_degree() * size >= g.edge_count
         assert size <= max_matching_size(g)
+
+
+def test_matching_bound_is_the_set_greedy_matching():
+    rng = random.Random(34)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(2, 61), rng.choice([0.05, 0.2, 0.5, 0.8, 0.97]))
+        if g.edge_count == 0:
+            continue
+        pack = matching_lower_bound(g)
+        assert [(c, *sorted(tips)) for c, tips in pack.stars] == set_greedy_matching(g)
 
 
 # -- exact star packs --------------------------------------------------------------

@@ -1,20 +1,26 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halinlab.errors import PreconditionError
+from halinlab.gadgets import InsertionInstance
 from halinlab.graph import (
     Graph,
     VertexSetPair,
     bipartition,
+    colour_classes,
     degree_between,
+    edge_inside,
     vertex_connectivity,
     vertex_connectivity_at_least,
 )
+from halinlab.hamiltonicity import moon_moser_cycle
+from halinlab.search import balanced_leaf_hist_exists
 
-from oracles import cut_connectivity_at_least, random_graph
+from oracles import cut_connectivity_at_least, random_graph, to_networkx
 
 
 @st.composite
@@ -186,6 +192,49 @@ def test_bipartition_examples():
     assert bipartition(Graph.complete(3)) is None
     pair = bipartition(Graph.cycle(6))
     assert len(pair.left) == len(pair.right) == 3
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_bipartition_puts_each_components_lowest_vertex_left(g):
+    """A connected bipartite graph has one 2-colouring up to swapping the
+    sides, so this pins the output down."""
+    pair = bipartition(g)
+    h = to_networkx(g)
+    assert (pair is None) == (not nx.is_bipartite(h))
+    assert (colour_classes(g) is None) == (pair is None)
+    if pair is None:
+        return
+    left, right = colour_classes(g)
+    assert pair == VertexSetPair(
+        [v for v in range(g.n) if left >> v & 1], [v for v in range(g.n) if right >> v & 1]
+    )
+    assert edge_inside(g, pair.left, pair.right) is None
+    assert all(min(component) in pair.left for component in nx.connected_components(h))
+
+
+@given(graphs(max_n=10), st.lists(st.integers(0, 2), min_size=10, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_edge_inside_is_the_first_edge_within_a_part(g, labels):
+    parts = [{v for v in range(g.n) if labels[v] == k} for k in range(3)]
+    expected = next(
+        (e for e in g.edges() if any(e[0] in p and e[1] in p for p in parts)), None
+    )
+    assert edge_inside(g, *parts) == expected
+    assert edge_inside(g, parts[0]) == next(
+        (e for e in g.edges() if set(e) <= parts[0]), None
+    )
+
+
+def test_each_caller_names_the_first_edge_inside_a_side():
+    k4 = Graph.complete(4)
+    pair = VertexSetPair([0, 3], [1, 2])
+    with pytest.raises(PreconditionError, match="^edge 0-3 inside one side$"):
+        moon_moser_cycle(k4, pair)
+    with pytest.raises(PreconditionError, match="^edge 0-3 inside one partition side$"):
+        balanced_leaf_hist_exists(k4, pair)
+    with pytest.raises(PreconditionError, match="^edge 1-2 inside one class of the instance$"):
+        InsertionInstance(k4, (0,), (1, 2), (3,))
 
 
 @given(graphs())

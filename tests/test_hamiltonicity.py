@@ -13,7 +13,7 @@ from halinlab.hamiltonicity import (
     verify_walk,
 )
 
-from oracles import brute_ham_path, random_graph
+from oracles import brute_ham_path, pair_scan_ore_witness, random_graph
 
 
 def ore_holds(g: Graph) -> bool:
@@ -26,6 +26,16 @@ def test_check_ore_plus_examples():
     k5e = Graph(5, [e for e in Graph.complete(5).edges() if e != (0, 1)])
     assert ore_holds(k5e)
     assert check_ore_plus(Graph.cycle(5)).violating_pair is not None
+
+
+def test_check_ore_plus_matches_the_pair_scan():
+    """Same witness pair as the scan over every pair, on hosts from sparse
+    to complete; dense ones fail late or not at all."""
+    rng = random.Random(41)
+    for _ in range(400):
+        n = rng.randrange(0, 61)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8, 0.9, 0.97, 1.0]))
+        assert check_ore_plus(g).violating_pair == pair_scan_ore_witness(g)
 
 
 def test_ore_ham_path_small():

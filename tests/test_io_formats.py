@@ -68,6 +68,57 @@ def test_graph6_errors_carry_offsets():
         parse_graph6(b"B" + bytes([64]))  # nonzero padding for P3 slot
 
 
+@given(st.integers(0, 300), st.floats(0, 1), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_graph6_parse_matches_networkx(n, p, rng):
+    """One-byte (n < 63) and four-byte headers, sparse to complete hosts."""
+    reference = nx.gnp_random_graph(n, p, seed=rng.randrange(1 << 30))
+    data = nx.to_graph6_bytes(reference, header=False)
+    g = parse_graph6(data)
+    expected = nx.from_graph6_bytes(data.strip())
+    assert g.n == expected.number_of_nodes() == n
+    assert set(g.edges()) == {(min(e), max(e)) for e in expected.edges()}
+    assert all(g.neighbors(v) == set(expected[v]) for v in range(n))
+
+
+# n = 10 has 45 triangle bits: 8 body bytes and 3 padding bits; n = 70
+# has a 4-byte header and 2415 bits: 403 body bytes and 3 padding bits.
+@pytest.mark.parametrize("n, head", [(10, 1), (70, 4)])
+@pytest.mark.parametrize("i", [0, 3, 6])
+@pytest.mark.parametrize("c", [32, 62, 127, 255])
+def test_graph6_out_of_range_character_offset(n, head, i, c):
+    data = bytearray(emit_graph6(Graph.complete(n)))
+    data[head + i] = c
+    data[head + i + 1] = 200  # a second bad byte is never the one named
+    with pytest.raises(ParseError) as err:
+        parse_graph6(bytes(data))
+    assert err.value.offset == head + i
+    assert str(err.value) == f"out-of-range character {c} (at offset {head + i})"
+
+
+@pytest.mark.parametrize("n, head, need", [(10, 1, 8), (70, 4, 403)])
+@pytest.mark.parametrize("pad", [1, 2, 4])
+def test_graph6_nonzero_padding_offset(n, head, need, pad):
+    data = bytearray(emit_graph6(Graph.empty(n)))
+    data[-1] += pad  # one of the 3 padding bits
+    with pytest.raises(ParseError) as err:
+        parse_graph6(bytes(data))
+    assert err.value.offset == head + need - 1
+    assert str(err.value) == f"nonzero padding bits (at offset {head + need - 1})"
+
+
+def test_graph6_checks_length_then_characters_then_padding():
+    padded = bytearray(emit_graph6(Graph.empty(10)))
+    padded[-1] += 1
+    bad_char = padded[:1] + b" " + padded[2:]
+    with pytest.raises(ParseError, match="out-of-range character 32"):
+        parse_graph6(bytes(bad_char))
+    with pytest.raises(ParseError, match="truncated bit stream: need 8 bytes, have 7"):
+        parse_graph6(bytes(bad_char[:-1]))
+    with pytest.raises(ParseError, match="trailing bytes after graph6 payload"):
+        parse_graph6(bytes(bad_char) + b" ?")
+
+
 @given(st.integers(0, 40), st.randoms(use_true_random=False))
 @settings(max_examples=50, deadline=None)
 def test_graph6_round_trip(n, rng):

@@ -141,6 +141,9 @@ def test_budget_overrun_reports_no_partial_count():
         (find_hist, Graph.complete_bipartite(3, 4), UNBOUNDED, "found", 10, None),
         (find_sghg, Graph.complete_bipartite(4, 4), EXHAUSTIVE, "found", 1_958, 96),
     ],
+    # Fixed ids: a re-pin changes the numbers, never the test names.
+    ids=["sghg-K4,5", "sghg-K6-exhaustive", "hist-K5-exhaustive", "sghg-K7", "hist-K3,4",
+         "sghg-K4,4-exhaustive"],
 )
 def test_node_counts_are_pinned(solver, g, budget, status, nodes, count):
     r = solver(g, budget)
