@@ -234,7 +234,7 @@ def _reach(masks: tuple[int, ...], start: int, within: int) -> int:
     """Bitmask of the vertices reachable from `start` inside `within`
     (a bitmask that contains `start`)."""
     seen = frontier = 1 << start
-    while frontier:
+    while frontier and seen != within:
         grown = 0
         while frontier:
             low = frontier & -frontier

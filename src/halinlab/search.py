@@ -9,7 +9,8 @@ vertex drives the pruning: a vertex frozen at tree-degree 2 kills the
 branch immediately, and in SGHG mode the evolving committed-leaf set must
 stay cyclically feasible (two potential-leaf neighbors each, one
 component) at every node.  SGHG mode on n > 2 vertices adds three leaf
-rules, kept up incrementally in the include and exclude steps:
+rules and, on n > 3, a degree rule, all kept up incrementally in the
+include and exclude steps:
 
 - forced leaf: a vertex with deg <= 1 and deg + und <= 2 (tree degree
   and undecided edges) can only end as a leaf, so it is committed at once
@@ -18,7 +19,24 @@ rules, kept up incrementally in the include and exclude steps:
   it leaves the potential leaves; a committed vertex outside them fails;
 - bipartite balance: the leaf cycle alternates sides, so on a bipartite
   host with sides A, B neither |com & A| > |pot & B| nor
-  |com & B| > |pot & A| may hold.
+  |com & B| > |pot & A| may hold;
+- P-degree: every vertex keeps at least 3 edges in P, the edges an SGHG
+  below the node can still use: the tree-available ones (`avail`) plus
+  every host edge between two potential leaves.
+
+The P-degree rule rests on T ∪ C being 3-connected for n >= 4, like a
+Halin graph.  Delete two vertices S.  Every component of T - S holds a
+leaf of T outside S: one without would force a cycle in T or a vertex
+with three neighbours in S.  C - S stays connected unless both vertices
+of S are leaves, and then T - S is connected.  So every vertex of T ∪ C
+has degree >= 3, and T ∪ C lies inside P: its tree edges in `avail`, its
+cycle edges between final leaves, which stay potential.  Going down the
+tree P only shrinks, and the parent node passed the rule, so a node
+checks only the vertices whose P-degree may just have dropped: the ends
+of an excluded edge, each vertex that just left the potential leaves,
+and those of its potential-leaf neighbours whose edge to it is no longer
+tree-available.  At the root P is the host, so a host vertex of degree
+<= 2 refutes it before the first node.
 
 Each rule cuts only subtrees that hold no SGHG, so every certificate and
 every exhaustive count is the same as without them.  HIST search tracks
@@ -201,6 +219,26 @@ class _TreeSearch(_Meter):
                 return False
         return True
 
+    def _p_degrees_ok(self, pot: int, lost: int, suspects: int) -> bool:
+        """Does every vertex whose P-degree may just have dropped keep at
+        least 3?  P is `avail` plus every host edge inside `pot`; `lost`
+        has just left `pot`, and `suspects` lost an `avail` edge."""
+        avail, masks = self.avail, self.g._masks
+        while lost:
+            low = lost & -lost
+            w = low.bit_length() - 1
+            # w itself, and the potential leaves whose edge to w was in P
+            # only because both ends were potential leaves.
+            suspects |= low | (masks[w] & ~avail[w] & pot)
+            lost ^= low
+        while suspects:
+            low = suspects & -suspects
+            x = low.bit_length() - 1
+            if (avail[x] | (masks[x] & pot if pot & low else 0)).bit_count() < 3:
+                return False
+            suspects ^= low
+        return True
+
     # -- search ------------------------------------------------------------
 
     def hists(self) -> Iterator[list[tuple[int, int]]]:
@@ -213,6 +251,11 @@ class _TreeSearch(_Meter):
         edges, deg, und, avail = self.edges, self.deg, self.und, self.avail
         cycle_mode, tick, room = self.cycle_mode, self.tick, self.room
         connected, cycle_feasible = self._connected_avail, self._cycle_feasible
+        # The P-degree rule needs n > 3 (T ∪ C is 3-connected from n = 4);
+        # at the root P is the host, so every vertex is checked once.
+        p_rule, p_degrees_ok = cycle_mode and self.n > 3, self._p_degrees_ok
+        if p_rule and not p_degrees_ok(self.full, 0, self.full):
+            return
         parent = list(range(self.n))
         rank = [1] * self.n
         included: list[tuple[int, int]] = []
@@ -276,6 +319,9 @@ class _TreeSearch(_Meter):
                             potential &= ~(1 << (u ^ v ^ w))
                     if feasible and cycle_mode:
                         feasible = cycle_feasible(potential, committed)
+                    if feasible and p_rule:
+                        lost = saved[i][0] & ~potential
+                        feasible = not lost or p_degrees_ok(potential, lost, 0)
                     step[i] = _INCLUDED
                     if feasible:
                         i += 1
@@ -325,6 +371,10 @@ class _TreeSearch(_Meter):
                 feasible = connected()
             if feasible and cycle_mode:
                 feasible = cycle_feasible(potential, committed)
+            if feasible and p_rule:
+                feasible = p_degrees_ok(
+                    potential, saved[i][0] & ~potential, 1 << u | 1 << v
+                )
             step[i] = _EXCLUDED
             if feasible:
                 i += 1

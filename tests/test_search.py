@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,20 @@ from hypothesis import strategies as st
 
 from halinlab.certify import is_generalized_halin, is_hist
 from halinlab.errors import BudgetExhausted, PreconditionError
-from halinlab.graph import Graph, VertexSetPair, bipartition
+from halinlab.graph import (
+    Graph,
+    VertexSetPair,
+    bipartition,
+    iter_all_graphs,
+    vertex_connectivity_at_least,
+)
+from halinlab.io_formats import parse_graph6
+from halinlab.reduction import reduce_instance
 from halinlab.search import (
     EXHAUSTIVE,
     UNBOUNDED,
     SearchBudget,
+    _TreeSearch,
     balanced_leaf_hist_exists,
     find_hist,
     find_sghg,
@@ -134,16 +144,20 @@ def test_budget_overrun_reports_no_partial_count():
 @pytest.mark.parametrize(
     "solver, g, budget, status, nodes, count",
     [
-        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 4_396, 0),
+        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 4_198, 0),
         (find_sghg, Graph.complete(6), EXHAUSTIVE, "found", 2_783, 342),
         (find_hist, Graph.complete(5), EXHAUSTIVE, "found", 131, 5),
         (find_sghg, Graph.complete(7), UNBOUNDED, "found", 13, None),
         (find_hist, Graph.complete_bipartite(3, 4), UNBOUNDED, "found", 10, None),
         (find_sghg, Graph.complete_bipartite(4, 4), EXHAUSTIVE, "found", 1_958, 96),
+        # K_5 minus the edge 0-4, reduced for the terminals 0 and 4: 17
+        # vertices and 32 edges, where the P-degree rule cuts deep.
+        (find_sghg, reduce_instance(parse_graph6(b"D~["), 0, 4)[0], UNBOUNDED,
+         "found", 5_091, None),
     ],
     # Fixed ids: a re-pin changes the numbers, never the test names.
     ids=["sghg-K4,5", "sghg-K6-exhaustive", "hist-K5-exhaustive", "sghg-K7", "hist-K3,4",
-         "sghg-K4,4-exhaustive"],
+         "sghg-K4,4-exhaustive", "sghg-reduced-K5-minus-edge"],
 )
 def test_node_counts_are_pinned(solver, g, budget, status, nodes, count):
     r = solver(g, budget)
@@ -225,14 +239,19 @@ def test_exhaustive_agrees_with_naive_oracle_small():
             assert is_generalized_halin(g, ours.certificate)
 
 
+HOST_KINDS = (("any", 2), ("sparse", 3), ("bipartite", 1))
+WITH_DENSE = (*HOST_KINDS, ("dense", 1))
+
+
 @st.composite
-def sghg_hosts(draw, max_n=8):
+def sghg_hosts(draw, max_n=8, kinds=HOST_KINDS):
     """Hosts on at most max_n vertices: arbitrary ones (about half the
     pairs), sparse ones (about a quarter), where vertices of degree at most
-    2 are common, and dense bipartite ones (about three quarters of the
-    pairs across a drawn split)."""
+    2 are common, dense bipartite ones (about three quarters of the pairs
+    across a drawn split) and, if asked for, dense ones (about three
+    quarters of all pairs)."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    kind, cut = draw(st.sampled_from([("any", 2), ("sparse", 3), ("bipartite", 1)]))
+    kind, cut = draw(st.sampled_from(kinds))
     split = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
     pairs = [
         (u, v)
@@ -253,8 +272,73 @@ def test_find_sghg_agrees_with_naive_oracle(g):
         assert is_generalized_halin(g, ours.certificate)
 
 
+@st.composite
+def reduced_hosts(draw):
+    """Reduction instances of hosts on 4 vertices, any terminal pair."""
+    pairs = list(combinations(range(4), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    x, y = draw(st.sampled_from(pairs))
+    return reduce_instance(Graph(4, edges), x, y)[0]
+
+
+def _sghg_without_p_rule(g, budget):
+    """find_sghg with the P-degree rule switched off, root exit included."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "_p_degrees_ok", lambda self, pot, lost, suspects: True)
+        return find_sghg(g, budget)
+
+
+# Dense hosts on 8 or 9 vertices have too many SGHGs to count them all.
+@given(st.one_of(
+    st.tuples(sghg_hosts(9, WITH_DENSE), st.just(UNBOUNDED)),
+    st.tuples(st.one_of(sghg_hosts(7, WITH_DENSE), reduced_hosts()),
+              st.sampled_from([UNBOUNDED, EXHAUSTIVE])),
+))
+@settings(max_examples=200, deadline=None)
+def test_p_degree_rule_cuts_only_dead_branches(case):
+    g, budget = case
+    ours = find_sghg(g, budget)
+    plain = _sghg_without_p_rule(g, budget)
+    assert (ours.status, ours.certificate, ours.solution_count) == (
+        plain.status, plain.certificate, plain.solution_count
+    ), g.edges()
+    assert ours.nodes <= plain.nodes
+
+
+@given(sghg_hosts(9, WITH_DENSE))
+@settings(max_examples=150, deadline=None)
+def test_sghg_union_is_3_connected(g):
+    # The fact the P-degree rule rests on: from n = 4 on, T ∪ C is
+    # 3-connected, so every vertex has at least 3 edges in it.
+    r = find_sghg(g)
+    if g.n >= 4 and r.found:
+        cycle = r.certificate.leaf_cycle
+        ring = zip(cycle, cycle[1:] + cycle[:1])
+        union = Graph(g.n, set(r.certificate.tree.edges) | {tuple(sorted(e)) for e in ring})
+        assert vertex_connectivity_at_least(union, 3), g.edges()
+
+
+def test_low_degree_vertex_refutes_at_the_root():
+    k5 = Graph.complete(5).edges()
+    pendant = Graph(6, k5 + [(0, 5)])
+    wedge = Graph(6, k5 + [(0, 5), (1, 5)])
+    for g in (pendant, wedge):
+        for mode in ("first", "canonical", "exhaustive"):
+            r = find_sghg(g, SearchBudget(mode=mode))
+            assert (r.status, r.nodes, r.solution_count) == ("none", 0, 0)
+    # Below four vertices the rule is off: results and node counts are
+    # those of the search without it.
+    for n in range(4):
+        for g in iter_all_graphs(n):
+            for budget in (UNBOUNDED, EXHAUSTIVE):
+                r = find_sghg(g, budget)
+                plain = _sghg_without_p_rule(g, budget)
+                assert r.status == "none"
+                assert (r.nodes, r.solution_count) == (plain.nodes, plain.solution_count)
+
+
 def iter_nonisomorphic(n):
-    from itertools import combinations, permutations
+    from itertools import permutations
 
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
