@@ -213,7 +213,7 @@ def is_hist(g: Graph, t: TreeCertificate) -> Verdict:
     base = check_tree(g, t)
     if not base:
         return base
-    if not t.is_spanning or len(t.edges) != g.n - 1:
+    if not t.is_spanning:
         return Verdict(False, "not-spanning", "certificate does not span host")
     for v, d in enumerate(t.degrees()):
         if d == 2:

@@ -7,6 +7,9 @@ internal errors (an unexpected exception).
 Certificates are re-verified before emission even when produced
 internally; human-readable summaries go to stdout and machine-readable
 documents to --out.
+
+Options and commands are declared once each, in the OPTIONS and COMMANDS
+tables near the end of this module.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .io_formats import (
     load_graph,
     parse_certificate,
 )
-from .search import SearchBudget, find_hist, find_sghg, ham_path_oracle
+from .search import MODES, SearchBudget, find_hist, find_sghg, ham_path_oracle
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -77,157 +80,15 @@ def _vertex_set(text: str) -> set[int]:
     raise argparse.ArgumentTypeError(f"not a list of vertex ids: {text!r}")
 
 
-def _load(args) -> Graph:
-    return load_graph(args.graph, args.format)
-
-
-def _add_graph_args(p: _Parser) -> None:
-    p.add_argument("--graph", required=True, help="input graph file")
-    p.add_argument(
-        "--format",
-        choices=["graph6", "edgelist"],
-        default=None,
-        help="input format (default: inferred from suffix)",
-    )
-
-
-def _add_budget_args(p: _Parser) -> None:
-    p.add_argument("--mode", default="first", choices=["first", "canonical", "exhaustive"])
-    p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
-
-
-def build_parser() -> _Parser:
-    top = _Parser(prog="halinlab", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check a certificate against a host graph")
-    _add_graph_args(p)
-    p.add_argument("--cert", required=True)
-    p.add_argument(
-        "--centers", type=_vertex_set, help="required centers, e.g. 0,1,2"
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("solve", help="search for a certificate")
-    p.add_argument("target", choices=["hist", "sghg"])
-    _add_graph_args(p)
-    _add_budget_args(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("hampath", help="Hamiltonian path between two terminals")
-    _add_graph_args(p)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
-    p.set_defaults(func=cmd_hampath)
-
-    p = sub.add_parser("hamcycle", help="Hamiltonian cycle in a balanced bipartite graph")
-    _add_graph_args(p)
-    p.set_defaults(func=cmd_hamcycle)
-
-    p = sub.add_parser("reduce", help="build the SGHG instance for a ham-path question")
-    _add_graph_args(p)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--out-graph", required=True)
-    p.add_argument("--out-trace", required=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("project", help="recover a ham path from an SGHG certificate")
-    _add_graph_args(p)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--cert", required=True)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("build", help="run a constructive builder")
-    bsub = p.add_subparsers(dest="builder", required=True)
-
-    b = bsub.add_parser("dense")
-    _add_graph_args(b)
-    b.add_argument("--alpha-prime", type=float, required=True)
-    b.add_argument("--root", type=int, required=True)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_build_dense)
-
-    b = bsub.add_parser("bipartite")
-    b.add_argument("--a", type=int, required=True)
-    b.add_argument("--b", type=int, required=True)
-    b.add_argument("--hubs", type=int, required=True)
-    b.add_argument("--block-bound", type=int, required=True)
-    b.add_argument("--imbalance", type=int, default=0)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_build_bipartite)
-
-    b = bsub.add_parser("tripartite")
-    b.add_argument("--a", type=int, required=True)
-    b.add_argument("--b", type=int, required=True)
-    b.add_argument("--f", type=int, required=True)
-    b.add_argument("--l", type=int, default=0)
-    b.add_argument("--hubs", type=int, required=True)
-    b.add_argument("--a-block-bound", type=int, required=True)
-    b.add_argument("--f-block-bound", type=int, required=True)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_build_tripartite)
-
-    b = bsub.add_parser("matching")
-    _add_graph_args(b)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_build_matching)
-
-    b = bsub.add_parser("starpack")
-    _add_graph_args(b)
-    b.add_argument("--centers", type=_vertex_set, required=True)
-    b.add_argument("--tips-from", type=_vertex_set, required=True)
-    b.add_argument("--arity", type=int, required=True)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=cmd_build_starpack)
-
-    p = sub.add_parser("gadget", help="run an insertion builder on a complete host")
-    p.add_argument("--op", choices=["hit", "tree", "forest"], required=True)
-    p.add_argument("--size", type=int, required=True, help="inserted vertex count")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gadget)
-
-    p = sub.add_parser("extremal", help="sharpness family tools")
-    esub = p.add_subparsers(dest="action", required=True)
-    e = esub.add_parser("gen")
-    e.add_argument("--a", type=int, required=True)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_extremal_gen)
-    e = esub.add_parser("confirm")
-    e.add_argument("--a", type=int, required=True)
-    e.add_argument("--node-limit", type=int, default=None)
-    e.add_argument("--time-limit", type=float, default=None)
-    e.set_defaults(func=cmd_extremal_confirm)
-
-    p = sub.add_parser("experiment", help="randomized threshold experiments")
-    xsub = p.add_subparsers(dest="action", required=True)
-    x = xsub.add_parser("threshold")
-    x.add_argument("--n", type=int, required=True)
-    x.add_argument("--delta-fraction", type=float, required=True)
-    x.add_argument("--trials", type=int, required=True)
-    x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--node-limit", type=int, default=None)
-    x.add_argument("--threads", type=int, default=1)
-    x.add_argument("--out", default=None)
-    x.add_argument("--out-csv", default=None)
-    x.set_defaults(func=cmd_experiment)
-
-    return top
-
-
 # -- command bodies -------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     with open(args.cert, encoding="utf-8") as fh:
         doc = parse_certificate(fh.read())
+    if args.centers is not None and doc.kind != "matching":
+        raise PreconditionError("--centers applies only to matching documents")
     if doc.kind == "hist":
         verdict = is_hist(g, TreeCertificate.from_document(doc))
     elif doc.kind == "sghg":
@@ -244,7 +105,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     if args.node_limit is None and args.time_limit is None:
         raise PreconditionError(
             "solve requires --node-limit or --time-limit (budgets are mandatory)"
@@ -264,7 +125,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hampath(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     budget = SearchBudget(args.node_limit, args.time_limit)
     witness = hamiltonicity.check_ore_plus(g)
     if witness.holds:
@@ -283,7 +144,7 @@ def cmd_hampath(args) -> int:
 
 
 def cmd_hamcycle(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     sides = bipartition(g)
     if sides is None:
         raise PreconditionError("graph is not bipartite")
@@ -295,17 +156,16 @@ def cmd_hamcycle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     gpp, trace = reduction.reduce_instance(g, args.x, args.y)
-    with open(args.out_graph, "wb") as fh:
-        fh.write(emit_graph6(gpp) + b"\n")
+    _write_out(args.out_graph, emit_graph6(gpp).decode("ascii") + "\n")
     _write_out(args.out_trace, emit_certificate(trace.to_document()))
     print(f"instance: {gpp.n} vertices, {gpp.edge_count} edges")
     return EXIT_OK
 
 
 def cmd_project(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     with open(args.trace, encoding="utf-8") as fh:
         trace = reduction.ReductionTrace.from_document(parse_certificate(fh.read()))
     with open(args.cert, encoding="utf-8") as fh:
@@ -329,7 +189,7 @@ def _emit(args, verdict, doc, summary: str | None) -> int:
 
 
 def cmd_build_dense(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     tree = constructive.dense_hist(
         g, constructive.DenseHistParams(args.alpha_prime, args.root)
     )
@@ -362,7 +222,7 @@ def cmd_build_tripartite(args) -> int:
 
 
 def cmd_build_matching(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     pack = constructive.matching_lower_bound(g)
     summary = (
         f"matching of size {len(pack.stars)} (edges {g.edge_count}, "
@@ -373,7 +233,7 @@ def cmd_build_matching(args) -> int:
 
 
 def cmd_build_starpack(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph, args.format)
     pack = constructive.star_pack(g, args.centers, args.tips_from, args.arity)
     if pack is None:
         print("no star pack exists")
@@ -385,12 +245,7 @@ def cmd_build_starpack(args) -> int:
 
 def cmd_gadget(args) -> int:
     inst = gadgets.complete_instance(args.a, args.b, args.size)
-    builder = {
-        "hit": gadgets.insertion_hit,
-        "tree": gadgets.insertion_tree,
-        "forest": gadgets.insertion_forest,
-    }[args.op]
-    result = builder(inst)
+    result = getattr(gadgets, f"insertion_{args.op}")(inst)
     cert, counts = result.certificate, result.counts
     summary = "\n".join(f"{key}: {counts[key]}" for key in sorted(counts))
     return _emit(args, check_tree(inst.host, cert), cert.to_document(), summary)
@@ -427,15 +282,116 @@ def cmd_experiment(args) -> int:
     )
     print(f"rates: {report.rates()}")
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _write_out(args.out_csv, report.to_csv())
     _write_out(args.out, emit_certificate(report.to_document()))
     return EXIT_OK
 
 
+# -- the command line, declared once -------------------------------------------
+
+#: Every option and positional argument: its name and its add_argument keywords.
+OPTIONS: dict[str, dict] = {
+    "target": dict(choices=["hist", "sghg"]),
+    "--graph": dict(help="input graph file"),
+    "--format": dict(choices=["graph6", "edgelist"],
+                     help="input format (default: inferred from suffix)"),
+    "--cert": {},
+    "--trace": {},
+    "--centers": dict(type=_vertex_set, help="required centers, e.g. 0,1,2"),
+    "--tips-from": dict(type=_vertex_set),
+    "--arity": dict(type=int),
+    "--mode": dict(default="first", choices=MODES),
+    "--node-limit": dict(type=int),
+    "--time-limit": dict(type=float),
+    "--x": dict(type=int),
+    "--y": dict(type=int),
+    "--out": {},
+    "--out-graph": {},
+    "--out-trace": {},
+    "--out-csv": {},
+    "--alpha-prime": dict(type=float),
+    "--root": dict(type=int),
+    "--a": dict(type=int),
+    "--b": dict(type=int),
+    "--f": dict(type=int),
+    "--l": dict(type=int, default=0),
+    "--hubs": dict(type=int),
+    "--block-bound": dict(type=int),
+    "--a-block-bound": dict(type=int),
+    "--f-block-bound": dict(type=int),
+    "--imbalance": dict(type=int, default=0),
+    "--op": dict(choices=["hit", "tree", "forest"]),
+    "--size": dict(type=int, help="inserted vertex count"),
+    "--n": dict(type=int),
+    "--delta-fraction": dict(type=float),
+    "--trials": dict(type=int),
+    "--seed": dict(type=int, default=0),
+    "--threads": dict(type=int, default=1),
+}
+
+#: Every command: its words, help, handler and arguments in usage notation
+#: ([--flag] is optional).  A row with no handler groups the rows below it,
+#: and its last field names the attribute that records which of them ran.
+COMMANDS = (
+    ("verify", "check a certificate against a host graph", cmd_verify,
+     "--graph [--format] --cert [--centers]"),
+    ("solve", "search for a certificate", cmd_solve,
+     "target --graph [--format] [--mode] [--node-limit] [--time-limit] [--out]"),
+    ("hampath", "Hamiltonian path between two terminals", cmd_hampath,
+     "--graph [--format] --x --y [--node-limit] [--time-limit]"),
+    ("hamcycle", "Hamiltonian cycle in a balanced bipartite graph", cmd_hamcycle,
+     "--graph [--format]"),
+    ("reduce", "build the SGHG instance for a ham-path question", cmd_reduce,
+     "--graph [--format] --x --y --out-graph --out-trace"),
+    ("project", "recover a ham path from an SGHG certificate", cmd_project,
+     "--graph [--format] --trace --cert"),
+    ("build", "run a constructive builder", None, "builder"),
+    ("build dense", "HIST of a host of high minimum degree", cmd_build_dense,
+     "--graph [--format] --alpha-prime --root [--out]"),
+    ("build bipartite", "HIST of K_{a,b}", cmd_build_bipartite,
+     "--a --b --hubs --block-bound [--imbalance] [--out]"),
+    ("build tripartite", "HIST of a complete tripartite host", cmd_build_tripartite,
+     "--a --b --f [--l] --hubs --a-block-bound --f-block-bound [--out]"),
+    ("build matching", "matching lower bound", cmd_build_matching,
+     "--graph [--format] [--out]"),
+    ("build starpack", "disjoint stars at the given centers", cmd_build_starpack,
+     "--graph [--format] --centers --tips-from --arity [--out]"),
+    ("gadget", "run an insertion builder on a complete host", cmd_gadget,
+     "--op --size --a --b [--out]"),
+    ("extremal", "sharpness family tools", None, "action"),
+    ("extremal gen", "write the sharp K_{a,b} in graph6", cmd_extremal_gen, "--a [--out]"),
+    ("extremal confirm", "confirm by search that it has no SGHG", cmd_extremal_confirm,
+     "--a [--node-limit] [--time-limit]"),
+    ("experiment", "randomized threshold experiments", None, "action"),
+    ("experiment threshold", "SGHG rates on random hosts", cmd_experiment,
+     "--n --delta-fraction --trials [--seed] [--node-limit] [--threads] [--out] "
+     "[--out-csv]"),
+)
+
+
+def _build_parser() -> _Parser:
+    # --help shows the module docstring without its last paragraph, on the tables.
+    top = _Parser(prog="halinlab", description=__doc__.rpartition("\n\n")[0])
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for words, help_text, handler, arguments in COMMANDS:
+        group, _, word = words.rpartition(" ")
+        p = groups[group].add_parser(word, help=help_text)
+        if handler is None:
+            groups[words] = p.add_subparsers(dest=arguments, required=True)
+            continue
+        for spec in arguments.split():
+            name = spec.strip("[]")
+            required = {"required": spec == name} if name.startswith("-") else {}
+            p.add_argument(name, **OPTIONS[name], **required)
+        p.set_defaults(func=handler)
+    return top
+
+
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 
@@ -230,7 +230,7 @@ def edge_inside(g: Graph, *parts: Iterable[int]) -> Edge | None:
 # k = 3 takes about 4 s on a 2-CPU machine.
 
 
-def _reach(masks: tuple[int, ...], start: int, within: int) -> int:
+def _reach(masks: Sequence[int], start: int, within: int) -> int:
     """Bitmask of the vertices reachable from `start` inside `within`
     (a bitmask that contains `start`)."""
     seen = frontier = 1 << start

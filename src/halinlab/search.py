@@ -62,13 +62,14 @@ from typing import Callable, Iterator, Sequence
 
 from .certify import HalinCertificate, TreeCertificate
 from .errors import BudgetExhausted, PreconditionError
-from .graph import Graph, VertexSetPair, colour_classes, edge_inside
+from .graph import Graph, VertexSetPair, _reach, colour_classes, edge_inside
 
-#: Accepted search modes.  "exhaustive" enumerates and counts every
-#: solution; the others stop at the first, which today is the canonical
-#: one.  "first" stays separate because only it may give up lexicographic
-#: order, for most-constrained-first branching; "canonical" never will.
-MODES = frozenset({"first", "canonical", "exhaustive"})
+#: Accepted search modes, in the order the CLI lists them.  "exhaustive"
+#: enumerates and counts every solution; the others stop at the first,
+#: which today is the canonical one.  "first" stays separate because only
+#: it may give up lexicographic order, for most-constrained-first
+#: branching; "canonical" never will.
+MODES = ("first", "canonical", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -169,18 +170,7 @@ class _TreeSearch(_Meter):
     # -- bookkeeping -------------------------------------------------------
 
     def _connected_avail(self) -> bool:
-        avail = self.avail
-        visited = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= avail[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~visited
-            visited |= frontier
-        return visited == self.full
+        return _reach(self.avail, 0, self.full) == self.full
 
     def _cycle_feasible(self, pot: int, com: int) -> bool:
         """Can the committed leaves `com` still lie on one cycle through
@@ -205,18 +195,9 @@ class _TreeSearch(_Meter):
             if (masks[low.bit_length() - 1] & pot).bit_count() < 2:
                 return False
             rest ^= low
-        if com & (com - 1):  # two or more committed leaves
-            visited = frontier = com & -com
-            while frontier:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nxt |= masks[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = nxt & pot & ~visited
-                visited |= frontier
-            if com & ~visited:
-                return False
+        # Two or more committed leaves must share a component of pot.
+        if com & (com - 1) and com & ~_reach(masks, (com & -com).bit_length() - 1, pot):
+            return False
         return True
 
     def _p_degrees_ok(self, pot: int, lost: int, suspects: int) -> bool:
@@ -448,18 +429,8 @@ def _ham_walks(
                     todo = 0
                     break
                 rest ^= low
-            if todo:
-                visited = frontier = 1 << cur
-                while frontier:
-                    nxt = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        nxt |= adj[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = nxt & free & ~visited
-                    visited |= frontier
-                if free & ~visited:
-                    todo = 0
+            if todo and free & ~_reach(adj, cur, free | 1 << cur):
+                todo = 0
             if used | endbit != full:
                 todo &= ~endbit
         children.append(todo)

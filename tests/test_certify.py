@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halinlab.certify import (
     HalinCertificate,
@@ -15,6 +18,7 @@ from halinlab.certify import (
 )
 from halinlab.errors import PreconditionError
 from halinlab.graph import Graph
+from halinlab.search import find_hist, find_sghg
 
 from oracles import naive_sghg, random_graph
 
@@ -184,3 +188,36 @@ def test_sghg_invariants_requires_valid_certificate():
             Graph.complete(4),
             HalinCertificate(TreeCertificate(4, [(0, 1), (1, 2), (2, 3)]), (0, 1, 3)),
         )
+
+
+@st.composite
+def small_hosts(draw):
+    """Hosts on 1..7 vertices holding about half or three quarters of the pairs."""
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    cut = draw(st.sampled_from([1, 2]))
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k >= cut])
+
+
+@given(small_hosts())
+@settings(max_examples=150, deadline=None)
+def test_single_edge_mutations_have_stable_reason_codes(g):
+    for result in (find_hist(g), find_sghg(g)):
+        if not result.found:
+            continue
+        cert = result.certificate
+        tree = cert if isinstance(cert, TreeCertificate) else cert.tree
+        mutants = [(tree.edges - {e}, "not-spanning") for e in tree.edges]
+        for pair in combinations(range(g.n), 2):
+            if pair not in tree.edges:
+                code = "not-acyclic" if g.has_edge(*pair) else "tree-edge-not-in-host"
+                mutants.append((tree.edges | {pair}, code))
+        for edges, code in mutants:
+            mutant = TreeCertificate(g.n, edges)
+            if tree is cert:
+                assert is_hist(g, mutant).code == code, (g.edges(), sorted(edges))
+            else:
+                verdict = is_generalized_halin(g, HalinCertificate(mutant, cert.leaf_cycle))
+                reason = (verdict.code, verdict.detail.partition(":")[0])
+                assert reason == ("not-a-hist", code), (g.edges(), sorted(edges))

@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from halinlab.cli import main
+from halinlab import cli
+from halinlab.cli import COMMANDS, OPTIONS, main
 from halinlab.graph import Graph
 from halinlab.io_formats import emit_edge_list, emit_graph6, parse_certificate
 
@@ -378,3 +379,107 @@ def test_hamcycle_command(tmp_path):
     tri = tmp_path / "k3.g6"
     tri.write_bytes(emit_graph6(Graph.complete(3)) + b"\n")
     assert main(["hamcycle", "--graph", str(tri)]) == 12
+
+
+@pytest.mark.parametrize("target", ["hist", "sghg"])
+def test_verify_rejects_centers_for_a_tree_document(k4, tmp_path, capsys, target):
+    out = str(tmp_path / "c.json")
+    assert main(["solve", target, "--graph", k4, "--node-limit", "10000", "--out", out]) == 0
+    assert main(["verify", "--graph", k4, "--cert", out, "--centers", "0"]) == 12
+    assert "--centers applies only to matching documents" in capsys.readouterr().err
+
+
+COMMAND_WORDS = [words for words, _, handler, _ in COMMANDS if handler is not None]
+
+
+@pytest.mark.parametrize("words", [row[0] for row in COMMANDS])
+def test_every_command_has_help(words, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*words.split(), "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: halinlab {words} ")
+
+
+def _required(words):
+    """The required arguments of a command, in table order."""
+    arguments = next(row[3] for row in COMMANDS if row[0] == words)
+    return [name for name in arguments.split() if not name.startswith("[")]
+
+
+def _required_argv(words, drop=None):
+    """The command with every required argument but `drop`, each given a
+    value that parses (its first choice, or 1)."""
+    argv = words.split()
+    for name in _required(words):
+        if name != drop:
+            value = str(OPTIONS[name].get("choices", [1])[0])
+            argv += [name, value] if name.startswith("-") else [value]
+    return argv
+
+
+@pytest.mark.parametrize("words", COMMAND_WORDS)
+def test_dropping_a_required_option_is_a_usage_error(words, capsys):
+    cli._PARSER.parse_args(_required_argv(words))
+    required = _required(words)
+    assert required
+    for name in required:
+        with pytest.raises(SystemExit) as err:
+            main(_required_argv(words, drop=name))
+        assert err.value.code == 10, name
+        assert "required" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_10_after_a_successful_call(k4):
+    assert main(["solve", "hist", "--graph", k4, "--node-limit", "100"]) == 0
+    for argv in (["solve", "hist"], ["solve", "hist", "--graph", k4, "--mode", "x"], []):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 10
+
+
+REPEATED = {
+    "verify": "verify --graph {gpp} --cert {cert}",
+    "solve": "solve sghg --graph {k4} --mode canonical --node-limit 10000 --out {out}",
+    "hampath": "hampath --graph {k4} --x 0 --y 3",
+    "hamcycle": "hamcycle --graph {k33}",
+    "reduce": "reduce --graph {k4} --x 0 --y 1 --out-graph {out} --out-trace {out2}",
+    "project": "project --graph {gpp} --trace {trace} --cert {cert}",
+    "build dense": "build dense --graph {k12} --alpha-prime 0.05 --root 0 --out {out}",
+    "build bipartite": "build bipartite --a 9 --b 9 --hubs 2 --block-bound 6 --imbalance 1",
+    "build tripartite": "build tripartite --a 10 --b 12 --f 4 --l 1 --hubs 2 "
+                        "--a-block-bound 6 --f-block-bound 2 --out {out}",
+    "build matching": "build matching --graph {k33} --out {out}",
+    "build starpack": "build starpack --graph {k33} --centers 0,1 --tips-from 3,4,5 "
+                      "--arity 1 --out {out}",
+    "gadget": "gadget --op tree --size 2 --a 16 --b 16 --out {out}",
+    "extremal gen": "extremal gen --a 3 --out {out}",
+    "extremal confirm": "extremal confirm --a 3",
+    "experiment threshold": "experiment threshold --n 10 --delta-fraction 0.85 --trials 2 "
+                            "--node-limit 200000 --out {out} --out-csv {out2}",
+}
+
+
+@pytest.mark.parametrize("words", COMMAND_WORDS)
+def test_identical_calls_in_one_process_give_identical_results(
+    words, reduced_k4, tmp_path, capsys
+):
+    hosts = {"k4": Graph.complete(4), "k12": Graph.complete(12),
+             "k33": Graph.complete_bipartite(3, 3)}
+    files = {"gpp": reduced_k4["gpp.g6"], "trace": reduced_k4["trace.json"],
+             "cert": reduced_k4["cert.json"], "out": str(tmp_path / "out"),
+             "out2": str(tmp_path / "out2")}
+    for name, g in hosts.items():
+        files[name] = str(tmp_path / f"{name}.g6")
+        (tmp_path / f"{name}.g6").write_bytes(emit_graph6(g) + b"\n")
+    argv = REPEATED[words].format(**files).split()
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        written = {}
+        for path in (tmp_path / "out", tmp_path / "out2"):
+            if path.exists():
+                written[path.name] = path.read_bytes()
+                path.unlink()
+        runs.append((code, capsys.readouterr().out, written))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
