@@ -8,21 +8,23 @@ the first and canonical modes coincide.  Degree state per
 vertex drives the pruning: a vertex frozen at tree-degree 2 kills the
 branch immediately, and in SGHG mode the evolving committed-leaf set must
 stay cyclically feasible (two potential-leaf neighbors each, one
-component) at every node.  SGHG mode on n > 2 vertices adds three leaf
-rules and, on n > 3, a degree rule, all kept up incrementally in the
-include and exclude steps:
+component) at every node.  An SGHG has at least 4 vertices, so SGHG
+search refutes a smaller host, or one with a vertex of degree below 3,
+before its first node.  It adds three leaf rules and a degree rule, all
+kept up incrementally in the include and exclude steps:
 
 - forced leaf: a vertex with deg <= 1 and deg + und <= 2 (tree degree
-  and undecided edges) can only end as a leaf, so it is committed at once
-  (at the root, every vertex of host degree <= 2);
+  and undecided edges) can only end as a leaf, so it is committed at once;
 - leaf adjacency: the tree neighbour of a committed leaf is internal, so
-  it leaves the potential leaves; a committed vertex outside them fails;
+  it leaves the potential leaves;
 - bipartite balance: the leaf cycle alternates sides, so on a bipartite
   host with sides A, B neither |com & A| > |pot & B| nor
   |com & B| > |pot & A| may hold;
 - P-degree: every vertex keeps at least 3 edges in P, the edges an SGHG
   below the node can still use: the tree-available ones (`avail`) plus
-  every host edge between two potential leaves.
+  every host edge between two potential leaves.  This also cuts a
+  committed vertex outside the potential leaves: its P-degree is
+  deg + und <= 2.
 
 The P-degree rule rests on T ∪ C being 3-connected for n >= 4, like a
 Halin graph.  Delete two vertices S.  Every component of T - S holds a
@@ -36,7 +38,7 @@ checks only the vertices whose P-degree may just have dropped: the ends
 of an excluded edge, each vertex that just left the potential leaves,
 and those of its potential-leaf neighbours whose edge to it is no longer
 tree-available.  At the root P is the host, so a host vertex of degree
-<= 2 refutes it before the first node.
+<= 2 refutes it before the first node, and no vertex starts committed.
 
 Each rule cuts only subtrees that hold no SGHG, so every certificate and
 every exhaustive count is the same as without them.  HIST search tracks
@@ -158,14 +160,10 @@ class _TreeSearch(_Meter):
         self.full = (1 << n) - 1
         # A vertex with deg <= 1 and deg + und <= 2 can only end as a leaf;
         # SGHG search commits it as soon as deg + und reaches `room` (only
-        # exclusions lower it).  The leaf rules assume n > 2: on two
-        # vertices both leaves are tree neighbours (and no leaf cycle
-        # exists anyway).  HIST search tracks no leaves: room 0 commits at
-        # most a lone vertex, and the exclude step then runs only its
-        # dead-end check.
-        prune = cycle_mode and n > 2
-        self.room = 2 if prune else 0
-        self.sides = (colour_classes(g) or (0, 0)) if prune else (0, 0)
+        # exclusions lower it).  HIST search tracks no leaves: with room 0
+        # the exclude step runs only its dead-end check.
+        self.room = 2 if cycle_mode else 0
+        self.sides = (colour_classes(g) or (0, 0)) if cycle_mode else (0, 0)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -179,8 +177,6 @@ class _TreeSearch(_Meter):
             return False
         if not com:
             return True
-        if com & ~pot:  # a committed leaf is tree neighbour of another
-            return False
         side_a, side_b = self.sides
         if side_a and (
             (com & side_a).bit_count() > (pot & side_b).bit_count()
@@ -226,16 +222,17 @@ class _TreeSearch(_Meter):
         """Yield the include stack at every spanning HIST, in lexicographic
         order.  The stack and `deg` describe that HIST until the generator
         resumes."""
-        n1, m = self.n - 1, self.m
-        if self.n == 0 or m < n1 or not self._connected_avail():
+        n1, m, cycle_mode = self.n - 1, self.m, self.cycle_mode
+        # An SGHG has at least 4 vertices.
+        if self.n < (4 if cycle_mode else 1) or m < n1 or not self._connected_avail():
             return
         edges, deg, und, avail = self.edges, self.deg, self.und, self.avail
-        cycle_mode, tick, room = self.cycle_mode, self.tick, self.room
+        tick, room, p_degrees_ok = self.tick, self.room, self._p_degrees_ok
         connected, cycle_feasible = self._connected_avail, self._cycle_feasible
-        # The P-degree rule needs n > 3 (T ∪ C is 3-connected from n = 4);
-        # at the root P is the host, so every vertex is checked once.
-        p_rule, p_degrees_ok = cycle_mode and self.n > 3, self._p_degrees_ok
-        if p_rule and not p_degrees_ok(self.full, 0, self.full):
+        # At the root P is the host, so every vertex is checked once; after
+        # this pass no vertex has host degree <= room, so none starts
+        # committed.
+        if cycle_mode and not p_degrees_ok(self.full, 0, self.full):
             return
         parent = list(range(self.n))
         rank = [1] * self.n
@@ -244,8 +241,7 @@ class _TreeSearch(_Meter):
         # potential: vertices that may still end as leaves (deg <= 1 and,
         # in SGHG search, not the tree neighbour of a committed leaf);
         # committed: vertices that must end as leaves.
-        potential = self.full
-        committed = sum(1 << w for w in range(self.n) if und[w] <= room)
+        potential, committed = self.full, 0
         # Level i decides edge i; these hold its step, the union-find root
         # it attached, and the leaf masks to restore when it is left.
         step = [_ENTER] * (m + 1)
@@ -299,10 +295,10 @@ class _TreeSearch(_Meter):
                             # its tree neighbour is internal.
                             potential &= ~(1 << (u ^ v ^ w))
                     if feasible and cycle_mode:
-                        feasible = cycle_feasible(potential, committed)
-                    if feasible and p_rule:
                         lost = saved[i][0] & ~potential
-                        feasible = not lost or p_degrees_ok(potential, lost, 0)
+                        feasible = cycle_feasible(potential, committed) and (
+                            not lost or p_degrees_ok(potential, lost, 0)
+                        )
                     step[i] = _INCLUDED
                     if feasible:
                         i += 1
@@ -351,9 +347,7 @@ class _TreeSearch(_Meter):
             if feasible:
                 feasible = connected()
             if feasible and cycle_mode:
-                feasible = cycle_feasible(potential, committed)
-            if feasible and p_rule:
-                feasible = p_degrees_ok(
+                feasible = cycle_feasible(potential, committed) and p_degrees_ok(
                     potential, saved[i][0] & ~potential, 1 << u | 1 << v
                 )
             step[i] = _EXCLUDED
@@ -368,8 +362,6 @@ class _TreeSearch(_Meter):
         """Hamiltonian cycles through the leaves of the current HIST, one
         per rotation/reflection class; their nodes count against the budget."""
         leaves = self.leaf_set()
-        if len(leaves) < 3:  # a one-vertex host: its HIST has no leaves
-            return
         masks = self.g._masks
         adj = [
             sum(1 << j for j, w in enumerate(leaves) if masks[v] >> w & 1)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,7 @@ def k34(tmp_path):
 def test_solve_found_and_verify(k4, tmp_path, capsys):
     out = str(tmp_path / "cert.json")
     assert main(["solve", "sghg", "--graph", k4, "--node-limit", "10000", "--out", out]) == 0
-    doc = parse_certificate(open(out).read())
+    doc = parse_certificate(Path(out).read_text())
     assert doc.kind == "sghg"
     assert main(["verify", "--graph", k4, "--cert", out]) == 0
     assert "valid" in capsys.readouterr().out
@@ -119,7 +120,7 @@ def test_build_and_gadget_commands(tmp_path, capsys):
     out = str(tmp_path / "tree.json")
     assert main(["build", "bipartite", "--a", "9", "--b", "9", "--hubs", "2",
                  "--block-bound", "6", "--imbalance", "1", "--out", out]) == 0
-    assert parse_certificate(open(out).read()).kind == "hist"
+    assert parse_certificate(Path(out).read_text()).kind == "hist"
     assert main(["build", "bipartite", "--a", "9", "--b", "9", "--hubs", "2",
                  "--block-bound", "6", "--imbalance", "4"]) == 12
     assert main(["gadget", "--op", "forest", "--size", "2", "--a", "16",
@@ -131,7 +132,7 @@ def test_build_and_gadget_commands(tmp_path, capsys):
 def test_build_matching_and_starpack(tmp_path, k4):
     out = str(tmp_path / "m.json")
     assert main(["build", "matching", "--graph", k4, "--out", out]) == 0
-    assert parse_certificate(open(out).read()).kind == "matching"
+    assert parse_certificate(Path(out).read_text()).kind == "matching"
     k39 = tmp_path / "k39.g6"
     k39.write_bytes(emit_graph6(Graph.complete_bipartite(3, 9)) + b"\n")
     assert main(["build", "starpack", "--graph", str(k39), "--centers", "0,1,2",
@@ -236,7 +237,7 @@ def reduced_k4(tmp_path_factory):
     ids=["pendants-reversed", "terminals-edited", "pendants-truncated"],
 )
 def test_project_rejects_a_tampered_trace(reduced_k4, tmp_path, tamper):
-    record = json.load(open(reduced_k4["trace.json"]))
+    record = json.loads(Path(reduced_k4["trace.json"]).read_text())
     record["payload"] = tamper(record["payload"])
     trace = tmp_path / "tampered.json"
     trace.write_text(json.dumps(record))
@@ -341,10 +342,10 @@ def test_experiment_command(tmp_path):
             "--trials", "3", "--seed", "9", "--node-limit", "200000",
             "--out", out, "--out-csv", csv_out]
     assert main(args) == 0
-    first = open(out).read()
+    first = Path(out).read_text()
     assert main(args) == 0
-    assert open(out).read() == first  # bit-exact reproduction
-    rows = open(csv_out).read().strip().splitlines()
+    assert Path(out).read_text() == first  # bit-exact reproduction
+    rows = Path(csv_out).read_text().strip().splitlines()
     assert len(rows) == 4
     record = json.loads(first)
     assert record["kind"] == "experiment-report"
@@ -355,7 +356,7 @@ def test_identical_invocations_are_byte_identical(k4, tmp_path):
     for out in (out1, out2):
         assert main(["solve", "sghg", "--graph", k4, "--mode", "canonical",
                      "--node-limit", "100000", "--out", out]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_dense_build_command(tmp_path):

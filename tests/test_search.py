@@ -47,21 +47,6 @@ def test_find_hist_examples():
     assert r.found and is_hist(Graph.complete_bipartite(3, 4), r.certificate)
 
 
-def test_find_hist_matches_tree_enumeration_oracle():
-    rng = random.Random(2)
-    for _ in range(40):
-        n = rng.randrange(1, 8)
-        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-        expected = list(iter_hists(g))
-        got = find_hist(g, EXHAUSTIVE)
-        if expected:
-            assert got.found
-            assert got.solution_count == len(expected)
-            assert tuple(sorted(got.certificate.edges)) == min(expected)
-        else:
-            assert got.status == "none"
-
-
 def test_find_hist_canonical_is_lex_least():
     g = Graph.complete(5)
     r = find_hist(g, SearchBudget(mode="canonical"))
@@ -263,6 +248,19 @@ def sghg_hosts(draw, max_n=8, kinds=HOST_KINDS):
     return Graph(n, [p for p, k in zip(pairs, keep) if k >= cut])
 
 
+@given(sghg_hosts(7, WITH_DENSE))
+@settings(max_examples=200, deadline=None)
+def test_find_hist_matches_tree_enumeration_oracle(g):
+    expected = list(iter_hists(g))
+    got = find_hist(g, EXHAUSTIVE)
+    if expected:
+        assert got.found
+        assert got.solution_count == len(expected), g.edges()
+        assert tuple(sorted(got.certificate.edges)) == min(expected)
+    else:
+        assert got.status == "none"
+
+
 @given(sghg_hosts())
 @settings(max_examples=200, deadline=None)
 def test_find_sghg_agrees_with_naive_oracle(g):
@@ -326,14 +324,14 @@ def test_low_degree_vertex_refutes_at_the_root():
         for mode in ("first", "canonical", "exhaustive"):
             r = find_sghg(g, SearchBudget(mode=mode))
             assert (r.status, r.nodes, r.solution_count) == ("none", 0, 0)
-    # Below four vertices the rule is off: results and node counts are
-    # those of the search without it.
+    # An SGHG has at least four vertices, so a smaller host is refuted at
+    # the root whether or not the rule is on.
     for n in range(4):
         for g in iter_all_graphs(n):
             for budget in (UNBOUNDED, EXHAUSTIVE):
                 r = find_sghg(g, budget)
                 plain = _sghg_without_p_rule(g, budget)
-                assert r.status == "none"
+                assert (r.status, r.nodes, r.solution_count) == ("none", 0, 0)
                 assert (r.nodes, r.solution_count) == (plain.nodes, plain.solution_count)
 
 
