@@ -39,8 +39,8 @@ from .graph import Graph, bipartition
 from .io_formats import (
     emit_certificate,
     emit_graph6,
+    load_certificate,
     load_graph,
-    parse_certificate,
 )
 from .search import MODES, SearchBudget, find_hist, find_sghg, ham_path_oracle
 
@@ -85,8 +85,7 @@ def _vertex_set(text: str) -> set[int]:
 
 def cmd_verify(args) -> int:
     g = load_graph(args.graph, args.format)
-    with open(args.cert, encoding="utf-8") as fh:
-        doc = parse_certificate(fh.read())
+    doc = load_certificate(args.cert)
     if args.centers is not None and doc.kind != "matching":
         raise PreconditionError("--centers applies only to matching documents")
     if doc.kind == "hist":
@@ -166,10 +165,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_project(args) -> int:
     g = load_graph(args.graph, args.format)
-    with open(args.trace, encoding="utf-8") as fh:
-        trace = reduction.ReductionTrace.from_document(parse_certificate(fh.read()))
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = HalinCertificate.from_document(parse_certificate(fh.read()))
+    trace = reduction.ReductionTrace.from_document(load_certificate(args.trace))
+    cert = HalinCertificate.from_document(load_certificate(args.cert))
     base = g.induced_subgraph(range(trace.base_n))[0]
     if reduction.reduce_instance(base, *trace.terminals)[0] != g:
         raise PreconditionError("graph is not the reduction instance of the trace")

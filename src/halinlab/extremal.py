@@ -107,14 +107,13 @@ def confirm_sharpness(a: int, budget: SearchBudget | None = None) -> SharpnessRe
 # -- random 3-connected hosts ---------------------------------------------------
 
 
-def trial_rng(seed: int, index: int) -> random.Random:
-    """Independent per-trial stream derived by hashing (seed, index)."""
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 def trial_seed_hash(seed: int, index: int) -> str:
     return hashlib.sha256(f"{seed}:{index}".encode()).hexdigest()[:16]
+
+
+def trial_rng(seed: int, index: int) -> random.Random:
+    """Independent per-trial stream, seeded by `trial_seed_hash`."""
+    return random.Random(int(trial_seed_hash(seed, index), 16))
 
 
 def random_three_connected(

@@ -156,8 +156,15 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
     if fmt == "graph6":
         return parse_graph6(raw)
     if fmt == "edgelist":
-        return parse_edge_list(raw.decode("utf-8"))
+        return parse_edge_list(_utf8(raw))
     raise PreconditionError(f"unknown graph format {fmt!r}")
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not UTF-8", exc.start) from None
 
 
 # -- certificate documents ----------------------------------------------------
@@ -216,7 +223,7 @@ class CertificateDocument:
 
     def validate(self) -> None:
         """Check the payload against its kind's schema (PreconditionError)."""
-        if self.kind not in _SCHEMAS:
+        if self.kind not in KINDS:  # a tuple: an unhashable kind is unknown too
             raise PreconditionError(f"unknown certificate kind {self.kind!r}")
         schema = _SCHEMAS[self.kind]
         ids = _record_ids(self.payload, schema, f"{self.kind} payload")
@@ -304,10 +311,19 @@ def emit_certificate(doc: CertificateDocument) -> str:
 def parse_certificate(text: str) -> CertificateDocument:
     try:
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"bad certificate JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("certificate JSON nested too deep") from None
     if not isinstance(record, dict) or "kind" not in record:
         raise ParseError("certificate record must be an object with 'kind'")
     doc = CertificateDocument(record["kind"], record.get("payload", {}))
     doc.validate()
     return doc
+
+
+def load_certificate(path: str) -> CertificateDocument:
+    """Read a certificate document file (UTF-8 JSON) and validate it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return parse_certificate(_utf8(raw))

@@ -13,7 +13,7 @@ search refutes a smaller host, or one with a vertex of degree below 3,
 before its first node.  It adds three leaf rules and a degree rule, all
 kept up incrementally in the include and exclude steps:
 
-- forced leaf: a vertex with deg <= 1 and deg + und <= 2 (tree degree
+- forced leaf: a vertex with deg <= 1 and |avail| <= 2 (its tree edges
   and undecided edges) can only end as a leaf, so it is committed at once;
 - leaf adjacency: the tree neighbour of a committed leaf is internal, so
   it leaves the potential leaves;
@@ -24,7 +24,7 @@ kept up incrementally in the include and exclude steps:
   below the node can still use: the tree-available ones (`avail`) plus
   every host edge between two potential leaves.  This also cuts a
   committed vertex outside the potential leaves: its P-degree is
-  deg + und <= 2.
+  |avail| <= 2.
 
 The P-degree rule rests on T ∪ C being 3-connected for n >= 4, like a
 Halin graph.  Delete two vertices S.  Every component of T - S holds a
@@ -48,7 +48,9 @@ One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
 oracle and the leaf cycles of SGHG search; its nodes count against the
 same kind of budget, through `_Meter`.
 
-`_solve` maps a search into a `SearchResult` once for every solver.
+`_solve` maps a search into a `SearchResult` once, for both `find_hist`
+and `find_sghg`.  `balanced_leaf_hist_exists` keeps its own loop, because
+it tests a predicate on each HIST and raises on a budget overrun.
 Budgets make "unknown" a first-class outcome distinct from a proved
 "none"; a certificate found before the budget ran out is still "found",
 but its `solution_count` stays None, because a count is reported only
@@ -155,13 +157,12 @@ class _TreeSearch(_Meter):
         self.cycle_mode = cycle_mode
         n = g.n
         self.deg = [0] * n
-        self.und = [g.degree(v) for v in range(n)]
         self.avail = [g.neighbor_mask(v) for v in range(n)]
         self.full = (1 << n) - 1
-        # A vertex with deg <= 1 and deg + und <= 2 can only end as a leaf;
-        # SGHG search commits it as soon as deg + und reaches `room` (only
-        # exclusions lower it).  HIST search tracks no leaves: with room 0
-        # the exclude step runs only its dead-end check.
+        # A vertex with deg <= 1 and |avail| (tree plus undecided edges)
+        # <= 2 can only end as a leaf; SGHG search commits it once |avail|
+        # reaches `room` (only exclusions lower it).  HIST search tracks no
+        # leaves: with room 0 the exclude step runs only its dead-end check.
         self.room = 2 if cycle_mode else 0
         self.sides = (colour_classes(g) or (0, 0)) if cycle_mode else (0, 0)
 
@@ -226,7 +227,7 @@ class _TreeSearch(_Meter):
         # An SGHG has at least 4 vertices.
         if self.n < (4 if cycle_mode else 1) or m < n1 or not self._connected_avail():
             return
-        edges, deg, und, avail = self.edges, self.deg, self.und, self.avail
+        edges, deg, avail = self.edges, self.deg, self.avail
         tick, room, p_degrees_ok = self.tick, self.room, self._p_degrees_ok
         connected, cycle_feasible = self._connected_avail, self._cycle_feasible
         # At the root P is the host, so every vertex is checked once; after
@@ -258,7 +259,7 @@ class _TreeSearch(_Meter):
                         yield included
                     i -= 1
                     continue
-                if i == m or m - i < missing or needy > 2 * missing:
+                if m - i < missing or needy > 2 * missing:
                     i -= 1
                     continue
                 u, v = edges[i]
@@ -269,88 +270,71 @@ class _TreeSearch(_Meter):
                 rv = v
                 while parent[rv] != rv:
                     rv = parent[rv]
-                if ru != rv:
-                    # Include branch.  Level i is revisited to undo it,
-                    # whether or not the search descended into it.
-                    if rank[ru] > rank[rv]:
-                        ru, rv = rv, ru
-                    parent[ru] = rv
-                    rank[rv] += rank[ru]
-                    joined[i] = ru
-                    included.append((u, v))
-                    feasible = True
-                    for w in (u, v):
-                        deg[w] += 1
-                        und[w] -= 1
-                        dw = deg[w]
-                        if dw == 2:
-                            needy += 1
-                            potential &= ~(1 << w)
-                            if und[w] == 0:
-                                feasible = False
-                        elif dw == 3:
-                            needy -= 1
-                        elif dw == 1 and und[w] < room:
-                            # w is committed (deg + und did not change);
-                            # its tree neighbour is internal.
-                            potential &= ~(1 << (u ^ v ^ w))
-                    if feasible and cycle_mode:
-                        lost = saved[i][0] & ~potential
-                        feasible = cycle_feasible(potential, committed) and (
-                            not lost or p_degrees_ok(potential, lost, 0)
-                        )
-                    step[i] = _INCLUDED
-                    if feasible:
-                        i += 1
-                        step[i] = _ENTER
-                    continue
+                include = ru != rv
             else:  # back at level i: undo the branch just finished
                 u, v = edges[i]
                 potential, committed = saved[i]
-                if s == _INCLUDED:
-                    for w in (u, v):
-                        dw = deg[w]
-                        if dw == 2:
-                            needy -= 1
-                        elif dw == 3:
-                            needy += 1
-                        deg[w] -= 1
-                        und[w] += 1
-                    included.pop()
-                    ru = joined[i]
-                    rv = parent[ru]
-                    parent[ru] = ru
-                    rank[rv] -= rank[ru]
-                else:
-                    und[u] += 1
-                    und[v] += 1
+                if s == _EXCLUDED:
                     avail[u] |= 1 << v
                     avail[v] |= 1 << u
                     i -= 1
                     continue
-            # exclude branch of edge i
-            avail[u] &= ~(1 << v)
-            avail[v] &= ~(1 << u)
-            feasible = True
-            for w in (u, v):
-                uw = und[w] - 1
-                und[w] = uw
-                if uw <= room:
+                for w in (u, v):
                     dw = deg[w]
-                    if uw == 0:
-                        if dw == 0 or dw == 2:
+                    if dw == 2:
+                        needy -= 1
+                    elif dw == 3:
+                        needy += 1
+                    deg[w] = dw - 1
+                included.pop()
+                ru = joined[i]
+                rv = parent[ru]
+                parent[ru] = ru
+                rank[rv] -= rank[ru]
+                include = False
+            feasible = True
+            if include:
+                # Include branch: level i comes back to undo it, then excludes.
+                if rank[ru] > rank[rv]:
+                    ru, rv = rv, ru
+                parent[ru] = rv
+                rank[rv] += rank[ru]
+                joined[i] = ru
+                included.append((u, v))
+                for w in (u, v):
+                    dw = deg[w] + 1
+                    deg[w] = dw
+                    if dw == 2:
+                        needy += 1
+                        potential &= ~(1 << w)
+                        if avail[w].bit_count() == 2:
                             feasible = False
-                    elif dw + uw == room and dw < 2:
+                    elif dw == 3:
+                        needy -= 1
+                    elif dw == 1 and avail[w].bit_count() <= room:
+                        # w is committed (|avail| did not change); its tree
+                        # neighbour is internal.
+                        potential &= ~(1 << (u ^ v ^ w))
+                suspects = 0
+                step[i] = _INCLUDED
+            else:  # exclude branch of edge i
+                avail[u] &= ~(1 << v)
+                avail[v] &= ~(1 << u)
+                for w in (u, v):
+                    dw, aw = deg[w], avail[w].bit_count()
+                    if aw == dw and (dw == 0 or dw == 2):
+                        feasible = False
+                    elif aw == room and dw < 2:
                         committed |= 1 << w
                         if dw:  # its tree neighbour is internal
                             potential &= ~(1 << _tree_neighbour(included, w))
-            if feasible:
-                feasible = connected()
+                feasible = feasible and connected()
+                suspects = 1 << u | 1 << v
+                step[i] = _EXCLUDED
             if feasible and cycle_mode:
                 feasible = cycle_feasible(potential, committed) and p_degrees_ok(
-                    potential, saved[i][0] & ~potential, 1 << u | 1 << v
+                    potential, saved[i][0] & ~potential, suspects
                 )
-            step[i] = _EXCLUDED
             if feasible:
                 i += 1
                 step[i] = _ENTER

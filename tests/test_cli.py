@@ -89,6 +89,29 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["solve", "sghg", "--graph", str(bad), "--node-limit", "10"]) == 11
 
 
+# Malformed input files exit 11 or 12, never 14 (internal error).
+@pytest.mark.parametrize(
+    "name, data, code",
+    [
+        ("bad.edges", b"\xff\xfe 3\n", 11),
+        ("cert.json", b'{"kind": "hist\xff", "payload": {}}', 11),
+        ("cert.json", b"[" * 100_000 + b"]" * 100_000, 11),
+        ("cert.json", b'{"kind": ["hist"], "payload": {}}', 12),
+        ("cert.json", b'{"kind": "hist", "payload": {"host_n": 1' + b"0" * 5000 + b"}}", 11),
+    ],
+    ids=["edge-list-not-utf8", "cert-not-utf8", "cert-nested-too-deep", "cert-list-kind",
+         "cert-int-too-long"],
+)
+def test_malformed_input_files_exit_11_or_12(k4, tmp_path, name, data, code):
+    path = tmp_path / name
+    path.write_bytes(data)
+    if name == "bad.edges":
+        argv = ["solve", "hist", "--graph", str(path), "--node-limit", "10"]
+    else:
+        argv = ["verify", "--graph", k4, "--cert", str(path)]
+    assert main(argv) == code
+
+
 def test_verify_invalid_certificate(k4, k34, tmp_path):
     out = str(tmp_path / "cert.json")
     assert main(["solve", "hist", "--graph", k4, "--node-limit", "10000", "--out", out]) == 0

@@ -38,6 +38,10 @@ PETERSEN = Graph(
     ],
 )
 
+# The 3-cube Q_3: vertices are 3-bit strings, adjacent when they differ in
+# one bit.
+CUBE = Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+
 
 def test_find_hist_examples():
     assert find_hist(Graph.cycle(5)).status == "none"
@@ -139,10 +143,16 @@ def test_budget_overrun_reports_no_partial_count():
         # vertices and 32 edges, where the P-degree rule cuts deep.
         (find_sghg, reduce_instance(parse_graph6(b"D~["), 0, 4)[0], UNBOUNDED,
          "found", 5_091, None),
+        # Sparse cubic and 2-regular hosts, where HIST search lives on the
+        # frozen-at-2 and exclusion dead-end rules.
+        (find_hist, PETERSEN, EXHAUSTIVE, "found", 201, 10),
+        (find_hist, CUBE, EXHAUSTIVE, "none", 97, 0),
+        (find_hist, Graph.cycle(8), UNBOUNDED, "none", 6, 0),
     ],
     # Fixed ids: a re-pin changes the numbers, never the test names.
     ids=["sghg-K4,5", "sghg-K6-exhaustive", "hist-K5-exhaustive", "sghg-K7", "hist-K3,4",
-         "sghg-K4,4-exhaustive", "sghg-reduced-K5-minus-edge"],
+         "sghg-K4,4-exhaustive", "sghg-reduced-K5-minus-edge", "hist-petersen-exhaustive",
+         "hist-Q3-exhaustive", "hist-C8"],
 )
 def test_node_counts_are_pinned(solver, g, budget, status, nodes, count):
     r = solver(g, budget)
