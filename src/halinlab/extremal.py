@@ -123,15 +123,19 @@ def random_three_connected(
     if n < 4 or min_degree > n - 1:
         return None
     base_p = max(min_degree / max(n - 1, 1), 0.3)
+    draw = rng.random
     for attempt in range(max_attempts):
         p = min(1.0, base_p + (1.0 - base_p) * attempt / max_attempts)
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ]
-        g = Graph(n, edges)
+        # Each pair u < v is drawn once, so the masks need no checking.
+        masks = [0] * n
+        for u in range(n):
+            bit, row = 1 << u, 0
+            for v in range(u + 1, n):
+                if draw() < p:
+                    row |= 1 << v
+                    masks[v] |= bit
+            masks[u] |= row
+        g = Graph._from_masks(masks)
         if g.min_degree() >= min_degree and vertex_connectivity_at_least(g, 3):
             return g
     return None

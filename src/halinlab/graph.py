@@ -32,8 +32,7 @@ class Graph:
     Adjacency is stored once: bit w of `neighbor_mask(v)` is set iff vw is
     an edge.  `neighbors()` and `edges()` build a fresh set or list from the
     masks on each call (O(n) per vertex), so hot loops read `neighbor_mask`.
-    `_from_masks` trusts its masks and checks nothing: it is for the graph6
-    decoder only, whose format cannot encode a loop or a bad edge.
+    `_from_masks` trusts its masks and checks nothing (see there).
     """
 
     __slots__ = ("n", "_masks")
@@ -56,6 +55,12 @@ class Graph:
 
     @classmethod
     def _from_masks(cls, masks: Iterable[int]) -> "Graph":
+        """Graph over symmetric, loop-free neighbour masks, unchecked.
+
+        Two callers build masks that cannot be otherwise: the graph6
+        decoder, whose format cannot encode a loop or a bad edge, and the
+        threshold lab's sampler, which draws each pair u < v once.
+        """
         g = cls.__new__(cls)
         g._masks = tuple(masks)
         g.n = len(g._masks)
@@ -221,8 +226,10 @@ def edge_inside(g: Graph, *parts: Iterable[int]) -> Edge | None:
 
 # -- vertex connectivity ---------------------------------------------------
 #
-# Decided by separator enumeration: with n > k, g is k-connected iff it
-# stays connected after deleting any k-1 vertices.  That costs C(n, k-1)
+# A graph whose non-adjacent pairs all have k common neighbours is
+# accepted first, in one AND per pair.  Otherwise it is decided by
+# separator enumeration: with n > k, g is k-connected iff it stays
+# connected after deleting any k-1 vertices.  That costs C(n, k-1)
 # bitmask searches of O(n) word operations each: exponential in k, and
 # cheap for the k <= 3 that every library caller asks (the union of an
 # SGHG's tree and leaf cycle, and the threshold lab's hosts).  Large
@@ -250,6 +257,13 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
 
     Conventions: an empty or 1-vertex graph is 0-connected and K_n is
     (n-1)-connected, so the answer is monotone nonincreasing in k.
+
+    With n > k, g is accepted at once if every non-adjacent pair has at
+    least k common neighbours: a separator of fewer than k vertices
+    splits some non-adjacent pair and misses one of its common
+    neighbours, which still joins the two.  Dense hosts pass this in
+    one AND per pair (K_n has no such pair).  At the first pair that
+    fails, the separator enumeration decides.
     """
     if k < 0:
         raise PreconditionError("k must be nonnegative")
@@ -259,11 +273,18 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
         return False
     if g.min_degree() < k:
         return False
+    masks = g._masks
     everyone = (1 << g.n) - 1
+    if all(
+        (masks[u] & masks[v]).bit_count() >= k
+        for u in range(g.n)
+        for v in _bits(everyone & ~masks[u] & -(2 << u))
+    ):
+        return True
     for cut in combinations(range(g.n), k - 1):
         rest = everyone - sum(1 << v for v in cut)
         start = (rest & -rest).bit_length() - 1
-        if _reach(g._masks, start, rest) != rest:
+        if _reach(masks, start, rest) != rest:
             return False
     return True
 

@@ -44,6 +44,14 @@ Each rule cuts only subtrees that hold no SGHG, so every certificate and
 every exhaustive count is the same as without them.  HIST search tracks
 no leaves.
 
+Two checks are skipped where they can only pass.  An exclusion of an
+edge whose ends the included edges already join (one with no include
+branch) runs no connectivity search: those edges stay in `avail`, so it
+stays as connected as at the parent node.  And the leaf-cycle check
+depends only on the potential and committed leaves, so a step that
+leaves both unchanged does not repeat it: the parent node passed it on
+the same masks, and the root passes it trivially.
+
 One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
 oracle and the leaf cycles of SGHG search; its nodes count against the
 same kind of budget, through `_Meter`.
@@ -328,13 +336,17 @@ class _TreeSearch(_Meter):
                         committed |= 1 << w
                         if dw:  # its tree neighbour is internal
                             potential &= ~(1 << _tree_neighbour(included, w))
-                feasible = feasible and connected()
+                # A cycle-closing exclusion (entered, not after an include)
+                # keeps u and v joined by included edges, all in avail.
+                feasible = feasible and (s == _ENTER or connected())
                 suspects = 1 << u | 1 << v
                 step[i] = _EXCLUDED
             if feasible and cycle_mode:
-                feasible = cycle_feasible(potential, committed) and p_degrees_ok(
-                    potential, saved[i][0] & ~potential, suspects
-                )
+                # The parent node passed the leaf-cycle check on saved[i].
+                feasible = (
+                    (potential, committed) == saved[i]
+                    or cycle_feasible(potential, committed)
+                ) and p_degrees_ok(potential, saved[i][0] & ~potential, suspects)
             if feasible:
                 i += 1
                 step[i] = _ENTER

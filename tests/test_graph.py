@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -183,6 +184,37 @@ def test_connectivity_against_cut_enumeration():
 def test_connectivity_matches_the_cut_oracle(g):
     for k in range(g.n + 2):
         assert vertex_connectivity_at_least(g, k) == cut_connectivity_at_least(g, k)
+
+
+@st.composite
+def dense_hosts(draw):
+    """K_n minus a sparse edge set, n from 5 to 12: most non-adjacent pairs
+    keep many common neighbours, so the common-neighbour acceptance fires."""
+    n = draw(st.integers(min_value=5, max_value=12))
+    pairs = list(combinations(range(n), 2))
+    removed = draw(st.sets(st.sampled_from(pairs), max_size=n))
+    return Graph(n, [p for p in pairs if p not in removed])
+
+
+@given(dense_hosts())
+@settings(max_examples=15, deadline=None)
+def test_common_neighbour_acceptance_matches_the_cut_oracle(g):
+    expected = True
+    for k in range(g.n + 2):
+        # The oracle's answer stays False once a cut of size < k is found.
+        expected = expected and cut_connectivity_at_least(g, k)
+        assert vertex_connectivity_at_least(g, k) == expected
+
+
+def test_two_cliques_through_two_hubs_are_2_connected_only():
+    # Two K_6 on 0-5 and 6-11; the hubs 12 and 13 are adjacent to every
+    # other vertex.  Each cross pair has exactly the two hubs in common,
+    # and deleting both hubs separates the cliques.
+    g = Graph(14, [(u, v) for u, v in combinations(range(14), 2)
+                   if v >= 12 or (u < 6) == (v < 6)])
+    assert g.min_degree() == 7
+    assert vertex_connectivity_at_least(g, 2)
+    assert not vertex_connectivity_at_least(g, 3)
 
 
 def test_bipartition_examples():

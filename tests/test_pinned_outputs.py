@@ -183,6 +183,13 @@ def threshold_reports():
         yield emit_certificate(report.to_document())
 
 
+def threshold_report_n36():
+    """A report at the host sizes of the threshold benchmark (n = 32 to
+    40), where the connectivity test and the sampler do most of the work."""
+    report = threshold_experiment(36, 0.45, 6, 3, SearchBudget(node_limit=200_000))
+    yield emit_certificate(report.to_document())
+
+
 def search_hosts():
     """Every labeled reduction instance at n=4, sparse and dense random
     hosts (many with vertices of degree at most 2) and small complete
@@ -295,8 +302,13 @@ def test_emitted_documents_are_pinned(family, calls, expected):
             4,
             "5afe0678c9aadded5060711ee9f7e72486a6a81289ead46d9eb50b50e8001d44",
         ),
+        (
+            threshold_report_n36,
+            1,
+            "de0f582cc63507a5f6c6c38d08cdc72d9793d093404a6ff5bd59ab26e6c7526b",
+        ),
     ],
-    ids=["random-three-connected", "threshold-report"],
+    ids=["random-three-connected", "threshold-report", "threshold-report-n36"],
 )
 def test_threshold_lab_samples_are_pinned(family, calls, expected):
     assert digest(family()) == (calls, expected)
