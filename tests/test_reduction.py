@@ -1,10 +1,10 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from halinlab.certify import HalinCertificate, TreeCertificate, is_generalized_halin
-from halinlab.errors import PreconditionError
+from halinlab.errors import FalsificationError, PreconditionError
 from halinlab.graph import Graph, iter_all_graphs
 from halinlab.io_formats import emit_certificate, normalize_cycle, parse_certificate
 from halinlab.reduction import (
@@ -14,7 +14,7 @@ from halinlab.reduction import (
     project_certificate,
     reduce_instance,
 )
-from halinlab.search import find_sghg, ham_path_oracle
+from halinlab.search import EXHAUSTIVE, find_sghg, ham_path_oracle
 
 from oracles import random_graph
 
@@ -110,6 +110,29 @@ def test_project_solver_output():
     assert path[0] == 0 and path[-1] == 3 and sorted(path) == [0, 1, 2, 3]
 
 
+def test_project_falsifies_a_certificate_of_other_terminals():
+    gpp, trace = reduce_instance(Graph.complete(4), 0, 1)
+    cert = lift_certificate(trace, (0, 2, 3, 1))
+    _, other = reduce_instance(Graph.complete(4), 0, 2)
+    with pytest.raises(FalsificationError) as info:
+        project_certificate(gpp, other, cert)
+    assert info.value.dump == {"trace": other.to_document().payload, "walk": [0, 2]}
+
+
+def test_lifting_is_a_bijection_on_all_labeled_n4():
+    # Projection relies on every SGHG of G'' being the lift of exactly one
+    # Hamiltonian terminal path, so the two counts agree.
+    for g in iter_all_graphs(4):
+        for x, y in combinations(range(4), 2):
+            inner = [v for v in range(4) if v not in (x, y)]
+            paths = sum(
+                all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+                for p in ((x, *mid, y) for mid in permutations(inner))
+            )
+            gpp, _ = reduce_instance(g, x, y)
+            assert find_sghg(gpp, EXHAUSTIVE).solution_count == paths, (g.edges(), x, y)
+
+
 def test_equivalence_on_all_labeled_n4():
     for g in iter_all_graphs(4):
         for x, y in combinations(range(4), 2):
@@ -183,6 +206,7 @@ def test_trace_document_round_trip():
         ("base_n", 5),
         ("gadget_ids", [[6, 7, 8], [9, 11, 10]]),
         ("cycle_edges", [[0, 6]]),
+        ("base_n", 10**12),
     ],
 )
 def test_trace_document_must_match_its_terminals(field, value):
