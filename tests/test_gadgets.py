@@ -127,21 +127,26 @@ def test_validators_reject_thin_hosts():
         insertion_hit(inst)
 
 
-def test_builders_respect_declared_adjacency():
-    # Inserted vertices wired into one side only still work for the op
-    # that uses that side.
-    k = 2
+def one_sided_instance(k: int = 2) -> InsertionInstance:
+    """Complete bipartite host whose inserted vertices see side_b only."""
     a = b = 6 * k + 4
     n = a + b + k
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     for x in range(a + b, n):
         edges.extend((x, a + j) for j in range(b))  # side_b only
-    inst = InsertionInstance(
+    return InsertionInstance(
         Graph(n, edges),
         tuple(range(a)),
         tuple(range(a, a + b)),
         tuple(range(a + b, n)),
     )
+
+
+def test_builders_respect_declared_adjacency():
+    # Inserted vertices wired into one side only still work for the op
+    # that uses that side.
+    k = 2
+    inst = one_sided_instance(k)
     res = insertion_hit(inst)
     assert res.counts == {**res.counts, **expected_hit_counts(k)}
     with pytest.raises(PreconditionError):

@@ -1,6 +1,6 @@
-"""Pinned digests of the constructive builders' outputs, of emitted
-certificate documents, of the threshold lab's samples and of the SGHG
-search's certificates.
+"""Pinned digests of the constructive builders' outputs (and of the
+errors they raise on rejected inputs), of emitted certificate documents,
+of the threshold lab's samples and of the SGHG search's certificates.
 
 Refactors of the builder layer must keep every certificate and every
 walk byte-identical, refactors of the document layer every emitted
@@ -12,6 +12,7 @@ a changed digest means some output changed.
 """
 
 import hashlib
+import math
 import random
 from itertools import combinations, permutations
 
@@ -19,10 +20,25 @@ import pytest
 
 from halinlab.certify import HalinCertificate, StarPack, TreeCertificate
 from halinlab.constructive import (
+    DenseHistParams,
     TripartiteHistPlan,
     bipartite_hist,
+    dense_hist,
+    matching_lower_bound,
+    star_pack,
     tripartite_hist,
     tripartite_plan_error,
+)
+from halinlab.errors import HalinLabError
+from halinlab.gadgets import (
+    InsertionInstance,
+    complete_instance,
+    insertion_forest,
+    insertion_hit,
+    insertion_tree,
+    validate_forest_instance,
+    validate_hit_instance,
+    validate_tree_instance,
 )
 from halinlab.graph import Graph, VertexSetPair
 from halinlab.extremal import (
@@ -38,9 +54,10 @@ from halinlab.io_formats import CertificateDocument, emit_certificate
 from halinlab.reduction import reduce_instance
 from halinlab.search import SearchBudget, find_sghg
 
-from oracles import random_graph
+from oracles import random_graph, random_graph_min_degree
 
 from test_constructive import feasible_bipartite_plans
+from test_gadgets import one_sided_instance
 from test_hamiltonicity import random_ore_graph
 
 
@@ -92,6 +109,160 @@ def moon_moser_outputs():
             count += 1
             sides = VertexSetPair(range(m), range(m, 2 * m))
             yield g.edges(), moon_moser_cycle(g, sides)
+
+
+def outcome(show, build, *args):
+    """`show` of what a builder returns, or the type, message and dump
+    of the error it raises."""
+    try:
+        result = build(*args)
+    except HalinLabError as e:
+        return type(e).__name__, str(e), getattr(e, "dump", None)
+    return show(result)
+
+
+def accepted(_) -> str:
+    return "accepted"
+
+
+def gadget_outcomes(inst: InsertionInstance):
+    def show(res):
+        return sorted(res.certificate.edges), res.counts
+
+    for build in (insertion_hit, insertion_tree, insertion_forest):
+        yield build.__name__, outcome(show, build, inst)
+    for check in (validate_hit_instance, validate_tree_instance, validate_forest_instance):
+        yield check.__name__, outcome(accepted, check, inst)
+
+
+def trimmed(inst: InsertionInstance, drop) -> InsertionInstance:
+    """The instance with the given host edges deleted."""
+    gone = {(min(e), max(e)) for e in drop}
+    host = Graph(inst.host.n, [e for e in inst.host.edges() if e not in gone])
+    return InsertionInstance(host, inst.side_a, inst.side_b, inst.inserted)
+
+
+def cut(v: int, others) -> list[tuple[int, int]]:
+    return [(v, w) for w in others]
+
+
+def rejected_instances():
+    """Hand-built instances, each failing one validator check.  Only these
+    reach the anchor checks of the HIT and tree builders: random hosts
+    fail a degree check first or pass both."""
+    yield complete_instance(4, 4, 0)
+    # HIT: an inserted vertex, a side_b vertex, a side_a vertex too thin.
+    inst = complete_instance(13, 13, 2)
+    a, b, (x0, _) = inst.side_a, inst.side_b, inst.inserted
+    yield trimmed(inst, cut(x0, b[:9]))
+    yield trimmed(inst, cut(b[0], a[:7]))
+    yield trimmed(inst, cut(a[0], b[:7]))
+    # HIT anchors: claw tips b2 and b3 share one side_a neighbour, k = 2.
+    yield trimmed(inst, cut(b[2], a[7:]) + cut(b[3], a[:6]))
+    # ... and b5, b6 share two, k = 3 (the first pair shares plenty).
+    inst = complete_instance(21, 17, 3)
+    a, b = inst.side_a, inst.side_b
+    yield trimmed(inst, cut(b[5], a[11:]) + cut(b[6], a[:9]))
+    # Tree: an inserted vertex and a side_a vertex too thin.
+    inst = complete_instance(10, 12, 2)
+    a, b, (x0, _) = inst.side_a, inst.side_b, inst.inserted
+    yield trimmed(inst, cut(x0, a[:5]))
+    yield trimmed(inst, cut(a[0], b[:7]))
+    # Tree anchor groups: the k = 2 pair a2, a3 shares one side_b vertex.
+    yield trimmed(inst, cut(a[2], b[6:]) + cut(a[3], b[:5]))
+    # ... the k = 3 triple a2, a5, a8 shares two.
+    inst = complete_instance(12, 16, 3)
+    a, b = inst.side_a, inst.side_b
+    yield trimmed(inst, cut(a[2], b[8:]) + cut(a[5], b[:6]) + cut(a[8], b[:6]))
+    # ... the closing k = 4 pair a7, a11 shares three.
+    inst = complete_instance(14, 20, 4)
+    a, b = inst.side_a, inst.side_b
+    yield trimmed(inst, cut(a[7], b[10:]) + cut(a[11], b[:7]) + cut(a[11], b[17:]))
+    # ... the k = 5 group a7, a11, a14 shares two.
+    inst = complete_instance(16, 30, 5)
+    a, b = inst.side_a, inst.side_b
+    yield trimmed(inst, cut(a[7], b[12:]) + cut(a[11], b[:10]) + cut(a[11], b[22:]))
+    # Forest: an inserted vertex and a side_b vertex too thin.
+    inst = complete_instance(13, 13, 2)
+    a, b, (x0, _) = inst.side_a, inst.side_b, inst.inserted
+    yield trimmed(inst, cut(x0, b[:8]))
+    yield trimmed(inst, cut(b[0], a[:2]))
+
+
+def random_instances():
+    """Complete bipartite hosts with random edges missing, near the
+    degree floors, so claws and connectors leave the smallest ids."""
+    rng = random.Random(56)
+    for _ in range(30):
+        k = rng.randrange(1, 5)
+        sa, sb = rng.randrange(4 * k + 2, 6 * k + 6), rng.randrange(4 * k + 2, 6 * k + 6)
+        inst = complete_instance(sa, sb, k)
+        p = rng.choice([0.05, 0.15, 0.3])
+        yield trimmed(inst, [e for e in inst.host.edges() if rng.random() < p])
+
+
+def gadget_outputs():
+    for k in range(1, 9):
+        side = 6 * k + 4
+        yield from gadget_outcomes(complete_instance(side, side, k))
+    yield from gadget_outcomes(one_sided_instance())
+    for inst in rejected_instances():
+        yield from gadget_outcomes(inst)
+    for inst in random_instances():
+        yield from gadget_outcomes(inst)
+    inst = complete_instance(4, 4, 2)
+    for sides in (
+        (inst.host, inst.side_a, inst.side_b, inst.side_b),
+        (inst.host, inst.side_a[:-1], inst.side_b, inst.inserted),
+        (Graph(4, [(0, 1), (2, 3), (0, 2)]), (0, 1), (2, 3), ()),
+    ):
+        yield outcome(accepted, InsertionInstance, *sides)
+
+
+def tree_edges(tree: TreeCertificate) -> list:
+    return sorted(tree.edges)
+
+
+def stars(pack: StarPack | None) -> list | None:
+    return pack and [(c, sorted(tips)) for c, tips in pack.stars]
+
+
+def dense_outputs():
+    """Complete hosts at every root, three infeasible hosts and seeded
+    dense hosts, with alpha inside (0, 0.5)."""
+    for n in range(4, 10):
+        for root in range(n):
+            params = DenseHistParams(0.05, root)
+            yield n, root, outcome(tree_edges, dense_hist, Graph.complete(n), params)
+    for g, root in ((Graph.cycle(9), 0), (Graph.path(5), 1), (Graph.complete(5), 5)):
+        yield g.n, root, outcome(tree_edges, dense_hist, g, DenseHistParams(0.05, root))
+    rng = random.Random(57)
+    for _ in range(40):
+        n = rng.randrange(8, 60)
+        alpha = rng.choice([0.01, 0.05, 0.1, 0.2, 0.3, 0.45])
+        floor = math.ceil((2 / 3 - alpha) * n)
+        g = random_graph_min_degree(rng, n, floor, rng.choice([0.1, 0.3, 0.6, 0.9]))
+        root = rng.randrange(n)
+        yield n, alpha, root, outcome(tree_edges, dense_hist, g, DenseHistParams(alpha, root))
+
+
+def matching_outputs():
+    rng = random.Random(58)
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(2, 30), rng.choice([0.05, 0.2, 0.5, 0.9]))
+        yield g.edges(), outcome(stars, matching_lower_bound, g)
+
+
+def star_pack_outputs():
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randrange(4, 24)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.7]))
+        arity = rng.randrange(1, 4)
+        order = rng.sample(range(n), n)
+        split = rng.randrange(1, max(2, n // (arity + 1)) + 1)
+        centers, tips = set(order[:split]), set(order[split:])
+        yield g.edges(), sorted(centers), arity, outcome(stars, star_pack, g, centers, tips, arity)
 
 
 def random_trees(seed: int):
@@ -247,8 +418,29 @@ def digest(outputs) -> tuple[int, str]:
             25,
             "cf73a877e32759a5091320603d2cf5622d6cdcd496cc4795aedb4c0f37edf4fe",
         ),
+        (
+            gadget_outputs,
+            321,
+            "b288b8a0fd6219a285d6020f0608d7baa5aaf9782562f66159bd009df08fbd2f",
+        ),
+        (
+            dense_outputs,
+            82,
+            "f31a5dbcf6eda5cc7ff828ce73492c5f67b2a11a30babdca86a14f99ae8533e3",
+        ),
+        (
+            matching_outputs,
+            40,
+            "bc7625673abee2ea3e343222c99c1da04fb9cf26753d4f61af2f0c7f6d2cea24",
+        ),
+        (
+            star_pack_outputs,
+            60,
+            "7ad5b22e763c533326f47f7ebad4a41f5ac5b0c2aa5ea9209b00556d57165b53",
+        ),
     ],
-    ids=["bipartite", "tripartite", "ore", "moon-moser"],
+    ids=["bipartite", "tripartite", "ore", "moon-moser", "gadgets", "dense", "matching",
+         "star-pack"],
 )
 def test_builder_outputs_are_pinned(family, calls, expected):
     assert digest(family()) == (calls, expected)
