@@ -9,17 +9,20 @@ plain accept/reject answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .graph import Graph, vertex_connectivity_at_least
+from .graph import Edge, Graph, vertex_connectivity_at_least
 from .io_formats import CertificateDocument, normalize_cycle
-
-Edge = tuple[int, int]
 
 
 def _norm_edges(edges: Iterable[Edge]) -> frozenset[Edge]:
     return frozenset((u, v) if u < v else (v, u) for u, v in edges)
+
+
+def cycle_edges(cycle: Sequence[int]) -> frozenset[Edge]:
+    """The edges of the closed walk through `cycle`, each as (low, high)."""
+    return _norm_edges(zip(cycle, [*cycle[1:], *cycle[:1]]))
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,6 @@ class HalinCertificate:
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "leaf_cycle", normalize_cycle(tuple(leaf_cycle)))
 
-    def cycle_edges(self) -> frozenset[Edge]:
-        k = len(self.leaf_cycle)
-        return _norm_edges(
-            (self.leaf_cycle[i], self.leaf_cycle[(i + 1) % k]) for i in range(k)
-        )
-
     def to_document(self) -> CertificateDocument:
         return CertificateDocument(
             "sghg",
@@ -144,16 +141,6 @@ class StarPack:
 
     def centers(self) -> set[int]:
         return {c for c, _ in self.stars}
-
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for c, tips in self.stars:
-            out.add(c)
-            out |= tips
-        return out
-
-    def edges(self) -> frozenset[Edge]:
-        return _norm_edges((c, t) for c, tips in self.stars for t in tips)
 
     def to_document(self) -> CertificateDocument:
         return CertificateDocument(
@@ -329,13 +316,14 @@ def sghg_invariants(g: Graph, h: HalinCertificate) -> SghgInvariantReport:
         raise PreconditionError(f"invalid certificate: {verdict.code}")
     leaves = h.tree.leaves()
     internal = h.tree.internal()
-    union = Graph(g.n, h.tree.edges | h.cycle_edges())
+    cycle = cycle_edges(h.leaf_cycle)
+    union = Graph(g.n, h.tree.edges | cycle)
     order, _ = wheel_minor(h)
     return SghgInvariantReport(
         leaf_count=len(leaves),
         internal_count=len(internal),
         more_leaves_than_internal=len(leaves) > len(internal),
-        tree_cycle_edge_disjoint=not (h.tree.edges & h.cycle_edges()),
+        tree_cycle_edge_disjoint=not (h.tree.edges & cycle),
         union_three_connected=vertex_connectivity_at_least(union, 3),
         wheel_order=order,
         wheel_order_at_least_half=order >= -(-g.n // 2),

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 from .certify import StarPack, TreeCertificate
 from .errors import FalsificationError, PreconditionError
-from .graph import Graph
-
-Edge = tuple[int, int]
+from .graph import Edge, Graph
 
 
 # -- dense-host HIST ----------------------------------------------------------
@@ -28,7 +26,8 @@ Edge = tuple[int, int]
 class DenseHistParams:
     """Slack fraction and prescribed high-degree root.
 
-    The guaranteed regime needs alpha_prime < 1/24 and
+    dense_hist accepts alpha_prime only in the open interval (0, 0.5),
+    whatever the host.  The guaranteed regime needs alpha_prime < 1/24 and
     n * (1/3 - 8 * alpha_prime) > 6; outside it the builder still runs,
     but an absorption failure is reported as an infeasible instance
     instead of a falsification.
@@ -89,8 +88,8 @@ def dense_hist(h: Graph, params: DenseHistParams) -> TreeCertificate:
     root = params.root
     if not 0 <= root < n:
         raise PreconditionError("root out of range")
-    if not math.isfinite(params.alpha_prime):
-        raise PreconditionError(f"alpha_prime must be finite, got {params.alpha_prime}")
+    if not 0 < params.alpha_prime < 0.5:  # NaN fails it too
+        raise PreconditionError("alpha_prime must be in (0, 0.5)")
     floor = params.min_degree_floor(n)
     if h.min_degree() < floor:
         raise PreconditionError(
@@ -301,8 +300,7 @@ def tripartite_hist(
     b_hubs = b_ids[:d]
 
     # F blocks: plain partition, one block per B hub (may be empty).
-    base, rem = divmod(f_size, d)
-    edges = _hang(b_hubs, f_ids, [base + (1 if i < rem else 0) for i in range(d)])
+    edges = _hang(b_hubs, f_ids, _fill_blocks(f_size, [0] * d, [plan.f_block_bound] * d))
     # Chained A blocks hang off the same hubs.
     edges += _chained_blocks(b_hubs, a_ids, da)
 

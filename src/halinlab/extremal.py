@@ -23,7 +23,7 @@ from .certify import is_generalized_halin
 from .errors import BudgetExhausted, FalsificationError, PreconditionError
 from .graph import Graph, bipartition, vertex_connectivity_at_least
 from .io_formats import CertificateDocument, emit_certificate
-from .search import SearchBudget, balanced_leaf_hist_exists, find_sghg
+from .search import UNBOUNDED, SearchBudget, balanced_leaf_hist_exists, find_sghg
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,13 @@ class SharpnessReport:
         )
 
 
-def confirm_sharpness(a: int, budget: SearchBudget | None = None) -> SharpnessReport:
+def confirm_sharpness(a: int, budget: SearchBudget = UNBOUNDED) -> SharpnessReport:
     """Exhaustively re-derive the two negative facts for one instance.
 
     A budget overrun produces an inconclusive report; a positive finding
     would contradict the counting argument and raises a falsification.
     """
     g, meta = sharpness_instance(a)
-    budget = budget or SearchBudget(mode="canonical")
     sides = bipartition(g)
     assert sides is not None
     balanced: bool | None
@@ -116,16 +115,18 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(int(trial_seed_hash(seed, index), 16))
 
 
-def random_three_connected(
-    n: int, min_degree: int, rng: random.Random, max_attempts: int = 60
-) -> Graph | None:
+# Draws per host before the sampler gives up; p climbs to 1 over them.
+_MAX_ATTEMPTS = 60
+
+
+def random_three_connected(n: int, min_degree: int, rng: random.Random) -> Graph | None:
     """Sample G(n,p) at escalating p until 3-connected with the floor met."""
     if n < 4 or min_degree > n - 1:
         return None
     base_p = max(min_degree / max(n - 1, 1), 0.3)
     draw = rng.random
-    for attempt in range(max_attempts):
-        p = min(1.0, base_p + (1.0 - base_p) * attempt / max_attempts)
+    for attempt in range(_MAX_ATTEMPTS):
+        p = min(1.0, base_p + (1.0 - base_p) * attempt / _MAX_ATTEMPTS)
         # Each pair u < v is drawn once, so the masks need no checking.
         masks = [0] * n
         for u in range(n):
@@ -264,10 +265,9 @@ def threshold_experiment(
                 pool.submit(run_trial, n, delta_fraction, seed, i, budget)
                 for i in range(trials)
             ]
-            records = [f.result() for f in futures]
+            report.trials = [f.result() for f in futures]
     else:
-        records = [
+        report.trials = [
             run_trial(n, delta_fraction, seed, i, budget) for i in range(trials)
         ]
-    report.trials = sorted(records, key=lambda t: t.index)
     return report

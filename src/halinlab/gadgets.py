@@ -4,7 +4,9 @@ bipartite pair, with their exact vertex and leaf count formulas.
 Each builder consumes an InsertionInstance: a bipartite host (side_a,
 side_b) plus a disjoint inserted set with declared adjacency into the
 host.  Anchors are always the lexicographically smallest valid
-candidates, so outputs are deterministic.  The declared degree
+candidates, so outputs are deterministic.  Each validator picks the
+claws its anchor checks read and returns that selection, and its builder
+continues from it, so the claws are picked once.  The declared degree
 preconditions are strong enough that every selection step provably
 succeeds; a failure after validation therefore raises
 FalsificationError, and so does any mismatch between the built tallies
@@ -19,9 +21,7 @@ from dataclasses import dataclass, field
 
 from .certify import TreeCertificate
 from .errors import FalsificationError, PreconditionError
-from .graph import Graph, edge_inside
-
-Edge = tuple[int, int]
+from .graph import Edge, Graph, edge_inside
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,6 @@ class InsertionInstance:
     @property
     def size(self) -> int:
         return len(self.inserted)
-
-    def deg_into(self, v: int, side: tuple[int, ...]) -> int:
-        return len(self.host.neighbors(v) & set(side))
 
 
 def complete_instance(a_size: int, b_size: int, k: int) -> InsertionInstance:
@@ -113,6 +110,14 @@ class GadgetResult:
 # -- shared machinery ----------------------------------------------------------
 
 
+def _common(host: Graph, around: tuple[int, ...], pool: tuple[int, ...]) -> set[int]:
+    """The members of `pool` adjacent to every vertex of `around`."""
+    common = set(pool)
+    for v in around:
+        common &= host.neighbors(v)
+    return common
+
+
 class _Picker:
     """Lexicographically smallest unused candidate, tracked per side."""
 
@@ -121,7 +126,7 @@ class _Picker:
         self.used: set[int] = set()
 
     def take(self, around: int, pool: tuple[int, ...], count: int, what: str) -> list[int]:
-        cands = sorted(self.host.neighbors(around) & set(pool) - self.used)
+        cands = sorted(_common(self.host, (around,), pool) - self.used)
         if len(cands) < count:
             raise FalsificationError(
                 f"anchor selection failed for {what}",
@@ -138,9 +143,7 @@ class _Picker:
     def take_common(
         self, around: tuple[int, ...], pool: tuple[int, ...], what: str
     ) -> int:
-        common = set(pool) - self.used
-        for v in around:
-            common &= self.host.neighbors(v)
+        common = _common(self.host, around, pool) - self.used
         if not common:
             raise FalsificationError(
                 f"no common anchor for {what}", {"around": list(around)}
@@ -148,6 +151,9 @@ class _Picker:
         pick = min(common)
         self.used.add(pick)
         return pick
+
+
+_Claws = tuple[_Picker, list[list[int]]]
 
 
 def _tally(inst: InsertionInstance, edges: list[Edge], expected: dict[str, int], op: str) -> GadgetResult:
@@ -175,10 +181,16 @@ def _tally(inst: InsertionInstance, edges: list[Edge], expected: dict[str, int],
     return GadgetResult(cert, counts)
 
 
-def _claws(
-    inst: InsertionInstance, picker: _Picker, pool: tuple[int, ...]
-) -> list[list[int]]:
-    return [picker.take(x, pool, 3, f"claw at {x}") for x in sorted(inst.inserted)]
+def _claws(inst: InsertionInstance, pool: tuple[int, ...]) -> _Claws:
+    """A fresh picker and the claw it takes in `pool` for each inserted
+    vertex, in id order."""
+    picker = _Picker(inst)
+    xs = sorted(inst.inserted)
+    return picker, [picker.take(x, pool, 3, f"claw at {x}") for x in xs]
+
+
+def _claw_edges(inst: InsertionInstance, claws: list[list[int]]) -> list[Edge]:
+    return [(x, t) for x, tips in zip(sorted(inst.inserted), claws) for t in tips]
 
 
 def _require_degrees(
@@ -187,15 +199,16 @@ def _require_degrees(
     """Every member has at least `bound` neighbors in the named side."""
     pool = getattr(inst, side)
     for v in members:
-        if inst.deg_into(v, pool) < bound:
+        if len(_common(inst.host, (v,), pool)) < bound:
             raise PreconditionError(f"deg({v}, {side}) < {label} = {bound}")
 
 
 # -- Operation-style builders --------------------------------------------------
 
 
-def validate_hit_instance(inst: InsertionInstance) -> None:
-    """Exact degree preconditions for the bridged-HIT builder."""
+def validate_hit_instance(inst: InsertionInstance) -> _Claws:
+    """Exact degree preconditions for the bridged-HIT builder; returns
+    the claws into side_b that the builder continues from."""
     k = inst.size
     if k < 1:
         raise PreconditionError("need at least one inserted vertex")
@@ -203,34 +216,25 @@ def validate_hit_instance(inst: InsertionInstance) -> None:
     _require_degrees(inst, inst.side_b, "side_a", 4 * k - 1, "4|I|-1")
     if k >= 2:
         _require_degrees(inst, inst.side_a, "side_b", 4 * k - 1, "4|I|-1")
-        # Consecutive claw anchors must share enough neighbors.
-        sim = _Picker(inst)
-        claws = _claws(inst, sim, inst.side_b)
-        aset = set(inst.side_a)
-        for i in range(k - 1):
-            p, q = claws[i][2], claws[i + 1][0]
-            common = inst.host.neighbors(p) & inst.host.neighbors(q) & aset
-            if len(common) < k:
-                raise PreconditionError(
-                    f"anchors {p},{q} share only {len(common)} neighbors (< |I|)"
-                )
+    picker, claws = _claws(inst, inst.side_b)
+    # Consecutive claw anchors must share enough neighbors.
+    for i in range(k - 1):
+        p, q = claws[i][2], claws[i + 1][0]
+        common = _common(inst.host, (p, q), inst.side_a)
+        if len(common) < k:
+            raise PreconditionError(
+                f"anchors {p},{q} share only {len(common)} neighbors (< |I|)"
+            )
+    return picker, claws
 
 
 def insertion_hit(inst: InsertionInstance) -> GadgetResult:
     """HIT absorbing the inserted set as internal vertices: claws into
     side_b, consecutive claws bridged through side_a connectors, side_a
     wedge and matching leaves balancing the counts."""
-    validate_hit_instance(inst)
+    picker, claws = validate_hit_instance(inst)
     k = inst.size
-    picker = _Picker(inst)
-    claws = _claws(inst, picker, inst.side_b)
-    xs = sorted(inst.inserted)
-    edges: list[Edge] = [
-        (x, t) for x, tips in zip(xs, claws) for t in tips
-    ]
-    if k == 1:
-        edges += picker.hang(claws[0][2], inst.side_a, 3, "terminal wedge")
-        return _tally(inst, edges, expected_hit_counts(k), "insertion_hit")
+    edges = _claw_edges(inst, claws)
     bridges = []
     for i in range(k - 1):
         y = picker.take_common(
@@ -248,30 +252,21 @@ def insertion_hit(inst: InsertionInstance) -> GadgetResult:
     return _tally(inst, edges, expected_hit_counts(k), "insertion_hit")
 
 
-def validate_tree_instance(inst: InsertionInstance) -> None:
-    """Exact degree preconditions for the near-HIT tree builder."""
+def validate_tree_instance(inst: InsertionInstance) -> _Claws:
+    """Exact degree preconditions for the near-HIT tree builder; returns
+    the claws into side_a that the builder continues from."""
     k = inst.size
     if k < 1:
         raise PreconditionError("need at least one inserted vertex")
     _require_degrees(inst, inst.inserted, "side_a", 3 * k, "3|I|")
     _require_degrees(inst, inst.side_a, "side_b", 2 * k + 2, "2|I|+2")
-    if k < 2:
-        return
-    sim = _Picker(inst)
-    claws = _claws(inst, sim, inst.side_a)
-    bset = set(inst.side_b)
-
-    def common_of(tips: list[int]) -> int:
-        s = bset.copy()
-        for t in tips:
-            s &= inst.host.neighbors(t)
-        return len(s)
-
-    for tips in _tree_anchor_groups(claws, k):
-        if common_of(tips) < k:
+    picker, claws = _claws(inst, inst.side_a)
+    for tips in _tree_anchor_groups(claws, k) if k >= 2 else ():
+        if len(_common(inst.host, tuple(tips), inst.side_b)) < k:
             raise PreconditionError(
                 f"anchor group {tips} shares fewer than |I| neighbors"
             )
+    return picker, claws
 
 
 def _tree_anchor_groups(claws: list[list[int]], k: int) -> list[list[int]]:
@@ -293,12 +288,9 @@ def insertion_tree(inst: InsertionInstance) -> GadgetResult:
     """Tree absorbing the inserted set with claws into side_a and shared
     connectors in side_b; carries exactly one degree-2 vertex when the
     inserted count is 2 or even, and none otherwise."""
-    validate_tree_instance(inst)
+    picker, claws = validate_tree_instance(inst)
     k = inst.size
-    picker = _Picker(inst)
-    claws = _claws(inst, picker, inst.side_a)
-    xs = sorted(inst.inserted)
-    edges: list[Edge] = [(x, t) for x, tips in zip(xs, claws) for t in tips]
+    edges = _claw_edges(inst, claws)
     if k == 1:
         edges += picker.hang(claws[0][2], inst.side_b, 2, "terminal pair")
         return _tally(inst, edges, expected_tree_counts(k), "insertion_tree")
@@ -309,36 +301,33 @@ def insertion_tree(inst: InsertionInstance) -> GadgetResult:
             edges += picker.hang(anchor, inst.side_b, 2, "leaf pair")
         return _tally(inst, edges, expected_tree_counts(k), "insertion_tree")
     groups = _tree_anchor_groups(claws, k)
-    matched: list[int] = [c[2] for c in claws]
     for tips in groups:
         y = picker.take_common(tuple(tips), inst.side_b, f"connector {tips}")
         edges.extend((t, y) for t in tips)
-    h = math.ceil((k - 3) / 2)
-    matched.extend(claws[2 * j][1] for j in range(1, h + 1))
-    for t in matched:
+    # One pendant on every third tip, then on each absorbed pair's anchor.
+    for t in [c[2] for c in claws] + [group[0] for group in groups[1:]]:
         edges += picker.hang(t, inst.side_b, 1, "pendant")
     extras = 3 if k % 2 == 1 else 2
     edges += picker.hang(claws[0][2], inst.side_b, extras, "terminal leaves")
     return _tally(inst, edges, expected_tree_counts(k), "insertion_tree")
 
 
-def validate_forest_instance(inst: InsertionInstance) -> None:
-    """Exact degree preconditions for the star-of-stars forest builder."""
+def validate_forest_instance(inst: InsertionInstance) -> _Claws:
+    """Exact degree preconditions for the star-of-stars forest builder;
+    returns the claws into side_b that the builder continues from."""
     k = inst.size
     if k < 1:
         raise PreconditionError("need at least one inserted vertex")
     _require_degrees(inst, inst.inserted, "side_b", 3 * k, "3|I|")
     _require_degrees(inst, inst.side_b, "side_a", 6 * k, "6|I|")
+    return _claws(inst, inst.side_b)
 
 
 def insertion_forest(inst: InsertionInstance) -> GadgetResult:
     """Forest of one component per inserted vertex: a claw into side_b,
     each claw tip carrying a wedge of two side_a leaves."""
-    validate_forest_instance(inst)
-    picker = _Picker(inst)
-    claws = _claws(inst, picker, inst.side_b)
-    xs = sorted(inst.inserted)
-    edges: list[Edge] = [(x, t) for x, tips in zip(xs, claws) for t in tips]
+    picker, claws = validate_forest_instance(inst)
+    edges = _claw_edges(inst, claws)
     for tips in claws:
         for t in tips:
             edges += picker.hang(t, inst.side_a, 2, "wedge")

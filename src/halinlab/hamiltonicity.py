@@ -158,7 +158,6 @@ def moon_moser_cycle(
 ) -> tuple[int, ...]:
     """Hamiltonian cycle of a balanced bipartite graph whose nonadjacent
     cross pairs satisfy d(x)+d(y) >= m+1 (m = side size)."""
-    sides.validate_for(g)
     left, right = sorted(sides.left), sorted(sides.right)
     m = len(left)
     if m != len(right) or m < 2:

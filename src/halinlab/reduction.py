@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import HalinCertificate, TreeCertificate, is_generalized_halin
+from .certify import HalinCertificate, TreeCertificate, cycle_edges, is_generalized_halin
 from .errors import FalsificationError, PreconditionError
-from .graph import Graph
+from .graph import Edge, Graph
 from .io_formats import CertificateDocument, emit_certificate
-
-Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -69,14 +67,8 @@ class ReductionTrace:
         x, y = self.terminals
         return (x, *(v for triple in self.gadget_ids for v in triple), y)
 
-    @property
-    def cycle_edges(self) -> frozenset[Edge]:
-        order = self.cycle_order()
-        return frozenset(
-            (a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])
-        )
-
     def to_document(self) -> CertificateDocument:
+        cycle = sorted(cycle_edges(self.cycle_order()))
         return CertificateDocument(
             "reduction-trace",
             {
@@ -85,7 +77,7 @@ class ReductionTrace:
                 "z_order": list(self.z_order),
                 "pendant_ids": list(self.pendant_ids),
                 "gadget_ids": [list(t) for t in self.gadget_ids],
-                "cycle_edges": [list(e) for e in sorted(self.cycle_edges)],
+                "cycle_edges": [list(e) for e in cycle],
             },
         )
 
@@ -124,7 +116,7 @@ def build_g_double_prime(gp: Graph, trace: ReductionTrace) -> tuple[Graph, Reduc
     edges = set(gp.edges())
     for zp, (g1, g2, g3) in zip(trace.pendant_ids, trace.gadget_ids):
         edges.update([(zp, g1), (zp, g2), (zp, g3), (g1, g2), (g2, g3)])
-    edges.update(trace.cycle_edges)
+    edges.update(cycle_edges(trace.cycle_order()))
     return Graph(trace.host_n, edges), trace
 
 

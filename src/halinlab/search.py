@@ -500,7 +500,7 @@ def balanced_leaf_hist_exists(
     BudgetExhausted.
     """
     left, right = partition.left, partition.right
-    if left | right != set(range(g.n)) or left & right:
+    if left | right != set(range(g.n)):
         raise PreconditionError("partition must cover the vertex set")
     if edge := edge_inside(g, left, right):
         raise PreconditionError("edge {}-{} inside one partition side".format(*edge))

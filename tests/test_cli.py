@@ -389,6 +389,14 @@ def test_dense_build_command(tmp_path):
                  "--root", "0", "--out", str(tmp_path / "d.json")]) == 0
 
 
+@pytest.mark.parametrize("alpha", ["0.6", "0"])
+def test_dense_build_rejects_alpha_outside_the_range(k4, alpha, capsys):
+    # K_4 is covered by the root's star, so no absorption step ever sees alpha.
+    assert main(["build", "dense", "--graph", k4, "--alpha-prime", alpha,
+                 "--root", "0"]) == 12
+    assert "alpha_prime must be in (0, 0.5)" in capsys.readouterr().err
+
+
 def test_tripartite_build_command(tmp_path, capsys):
     assert main(["build", "tripartite", "--a", "10", "--b", "12", "--f", "4",
                  "--l", "0", "--hubs", "2", "--a-block-bound", "6",

@@ -68,6 +68,14 @@ def test_dense_hist_rejects_sparse_host():
         dense_hist(Graph.cycle(9), DenseHistParams(0.05, 0))
 
 
+@pytest.mark.parametrize("alpha", [0.6, 0.0])
+def test_dense_hist_rejects_alpha_outside_the_range(alpha):
+    # K_8 is covered by the root's star, so no absorption step ever sees
+    # alpha; the range holds whatever the host.
+    with pytest.raises(PreconditionError, match=r"^alpha_prime must be in \(0, 0\.5\)$"):
+        dense_hist(Graph.complete(8), DenseHistParams(alpha, 0))
+
+
 def test_absorb_pair_examples():
     g = Graph.complete(6)
     assert absorb_pair(g, {0, 1, 2, 3}, 0.009) == (4, 5, 0)

@@ -15,6 +15,7 @@ import hashlib
 import math
 import random
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 
@@ -40,6 +41,7 @@ from halinlab.gadgets import (
     validate_hit_instance,
     validate_tree_instance,
 )
+from halinlab import extremal
 from halinlab.graph import Graph, VertexSetPair
 from halinlab.extremal import (
     ExperimentReport,
@@ -337,12 +339,14 @@ def report_documents():
 
 def sampled_hosts():
     """One-attempt draws pin single accept/reject decisions (most are
-    rejections); sixty-attempt draws pin the host after a run of them."""
+    rejections); sixty-attempt draws pin the host after a run of them.
+    The sampler's first draw is the same under either cap."""
     for n in range(4, 25):
         for floor in sorted({3, n // 3, n // 2, 2 * n // 3}):
             for index in range(3):
                 for attempts in (1, 60):
-                    g = random_three_connected(n, floor, trial_rng(n, index), attempts)
+                    with mock.patch.object(extremal, "_MAX_ATTEMPTS", attempts):
+                        g = random_three_connected(n, floor, trial_rng(n, index))
                     yield n, floor, index, attempts, None if g is None else g.edges()
 
 
