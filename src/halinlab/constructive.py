@@ -291,7 +291,7 @@ def tripartite_hist(
     reason = tripartite_plan_error(a_size, b_size, f_size, l, plan)
     if reason is not None:
         raise PreconditionError(f"infeasible plan: {reason}")
-    d, da = plan.hub_count, plan.a_block_bound
+    d, da, df = plan.hub_count, plan.a_block_bound, plan.f_block_bound
     lp = a_size + f_size - b_size - l
 
     a_ids = list(range(a_size))
@@ -300,7 +300,7 @@ def tripartite_hist(
     b_hubs = b_ids[:d]
 
     # F blocks: plain partition, one block per B hub (may be empty).
-    edges = _hang(b_hubs, f_ids, _fill_blocks(f_size, [0] * d, [plan.f_block_bound] * d))
+    edges = _hang(b_hubs, f_ids, _fill_blocks(f_size, [0] * d, [df] * d))
     # Chained A blocks hang off the same hubs.
     edges += _chained_blocks(b_hubs, a_ids, da)
 
