@@ -1,12 +1,14 @@
 """Pinned digests of the constructive builders' outputs (and of the
 errors they raise on rejected inputs), of emitted certificate documents,
-of the threshold lab's samples and of the SGHG search's certificates.
+of the threshold lab's samples, of the SGHG search's certificates and of
+the verifiers' verdicts.
 
 Refactors of the builder layer must keep every certificate and every
 walk byte-identical, refactors of the document layer every emitted
 document, refactors of the connectivity check every host the lab
 draws (each accept/reject decision moves the random stream), and
-pruning in the tree search every certificate it returns.  Each
+pruning in the tree search every certificate it returns, and refactors
+of the certificate layer every verdict and degree view.  Each
 family below runs a small seeded corpus and hashes the outputs in order;
 a changed digest means some output changed.
 """
@@ -19,7 +21,16 @@ from unittest import mock
 
 import pytest
 
-from halinlab.certify import HalinCertificate, StarPack, TreeCertificate
+from halinlab.certify import (
+    HalinCertificate,
+    StarPack,
+    TreeCertificate,
+    check_tree,
+    is_generalized_halin,
+    is_hist,
+    is_hit_forest,
+    verify_star_pack,
+)
 from halinlab.constructive import (
     DenseHistParams,
     TripartiteHistPlan,
@@ -54,7 +65,7 @@ from halinlab.extremal import (
 from halinlab.hamiltonicity import moon_moser_cycle, ore_ham_path
 from halinlab.io_formats import CertificateDocument, emit_certificate
 from halinlab.reduction import reduce_instance
-from halinlab.search import SearchBudget, find_sghg
+from halinlab.search import SearchBudget, find_hist, find_sghg
 
 from oracles import random_graph, random_graph_min_degree
 
@@ -390,6 +401,97 @@ def search_certificates():
             yield mode, r.status, cert and (sorted(cert.tree.edges), cert.leaf_cycle)
 
 
+def verdict(v) -> tuple:
+    return v.ok, v.code, v.detail
+
+
+def degree_views(t: TreeCertificate):
+    """leaves, internal and degrees, or the error an id outside the host raises."""
+    try:
+        return sorted(t.leaves()), sorted(t.internal()), t.degrees()
+    except IndexError:
+        return "IndexError"
+
+
+def edge_mutations(rng: random.Random, n: int, edges: list) -> list[list]:
+    """The edges as found, then with one edge dropped, one pair added and
+    one endpoint moved (possibly onto the id n, outside the host)."""
+    out = [edges]
+    if edges:
+        i = rng.randrange(len(edges))
+        out.append(edges[:i] + edges[i + 1 :])
+        u, v = edges[i]
+        out.append(edges[:i] + [(u, rng.randrange(n + 1))] + edges[i + 1 :])
+    out.append(edges + [tuple(rng.sample(range(n), 2))])
+    return out
+
+
+def cycle_mutations(rng: random.Random, n: int, cycle: tuple) -> list[tuple]:
+    """The cycle as found, shuffled, extended by one vertex and trimmed."""
+    shuffled = list(cycle)
+    rng.shuffle(shuffled)
+    return [cycle, tuple(shuffled), cycle + (rng.randrange(n),), cycle[:-1]]
+
+
+def pack_mutations(rng: random.Random, n: int, pack: StarPack) -> list[list]:
+    """The stars as found, one star with an extra tip it did not have or
+    with its first tip moved, and one extra star of the same arity (tips
+    never repeat)."""
+    stars = [(c, sorted(tips)) for c, tips in pack.stars]
+    out = [stars]
+    if stars:
+        i = rng.randrange(len(stars))
+        c, tips = stars[i]
+        extra = rng.choice([v for v in range(n) if v not in tips])
+        out.append(stars[:i] + [(c, tips + [extra])] + stars[i + 1 :])
+        out.append(stars[:i] + [(c, [extra, *tips[1:]])] + stars[i + 1 :])
+    c, *tips = rng.sample(range(n), pack.arity + 1)
+    out.append(stars + [(c, tips)])
+    return out
+
+
+def verifier_verdicts():
+    """Every verifier on certificates found on seeded hosts with n <= 8,
+    and on single mutations of them.  Ids stay below 8, where a set of
+    ids iterates in ascending order."""
+    rng = random.Random(62)
+    budget = SearchBudget(node_limit=200_000)
+    for _ in range(40):
+        n = rng.randrange(4, 9)
+        g = random_graph(rng, n, rng.choice([0.5, 0.7, 0.9]))
+        found = find_hist(g, budget).certificate
+        sghg = find_sghg(g, budget).certificate
+        trees = [sorted(found.edges)] if found else []
+        if sghg:
+            trees.append(sorted(sghg.tree.edges))
+        trees.append(sorted(g.edges())[: n - 1])
+        for edges in trees:
+            for mutated in edge_mutations(rng, n, edges):
+                for spanning in (True, False):
+                    t = TreeCertificate(n, mutated, spanning)
+                    yield (n, sorted(t.edges), spanning, degree_views(t),
+                           [verdict(check(g, t)) for check in (check_tree, is_hist, is_hit_forest)])
+        if sghg:
+            for cycle in cycle_mutations(rng, n, sghg.leaf_cycle):
+                h = HalinCertificate(sghg.tree, cycle)
+                yield n, h.leaf_cycle, verdict(is_generalized_halin(g, h))
+            for mutated in edge_mutations(rng, n, sorted(sghg.tree.edges)):
+                h = HalinCertificate(TreeCertificate(n, mutated), sghg.leaf_cycle)
+                yield n, sorted(h.tree.edges), verdict(is_generalized_halin(g, h))
+        arity = rng.randrange(1, 4)
+        order = rng.sample(range(n), n)
+        split = rng.randrange(1, max(2, n // (arity + 1)) + 1)
+        centers = set(order[:split])
+        packs = [matching_lower_bound(g)] if g.edge_count else []
+        packs.append(star_pack(g, centers, set(order[split:]), arity))
+        for pack in filter(None, packs):
+            for stars in pack_mutations(rng, n, pack):
+                p = StarPack(n, stars, pack.arity)
+                for want in (None, pack.centers(), centers):
+                    yield n, stars, verdict(verify_star_pack(g, p, want))
+        yield n, verdict(verify_star_pack(g, StarPack(n + 1, [], 1)))
+
+
 def digest(outputs) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
@@ -514,4 +616,11 @@ def test_search_certificates_are_pinned():
     assert digest(search_certificates()) == (
         1026,
         "5e02e0fea7e7e90477af6eb819af2717fac5401b7dba6bca59e4908505c5b03b",
+    )
+
+
+def test_verifier_verdicts_are_pinned():
+    assert digest(verifier_verdicts()) == (
+        1568,
+        "5e44b1a62dab2d26e930cf9a6a6a02f0a375f229c1ff3b9c88ea411f81d2fbc8",
     )
