@@ -4,6 +4,9 @@ All solvers and builders funnel their output through these checks, so the
 rest of the code base only has to be fast, not trusted.  Each verifier
 returns a Verdict carrying a reason code; `bool(verdict)` projects to the
 plain accept/reject answer.
+
+Each certificate type stores its canonical form on construction, so
+builders hand it raw edges and tips and the verifiers read that form.
 """
 
 from __future__ import annotations
@@ -43,13 +46,11 @@ class TreeCertificate:
     """An edge set claimed to be a (spanning) tree or forest of a host."""
 
     host_n: int
-    edges: frozenset[Edge]
+    edges: frozenset[Edge]  # built from any iterable of pairs
     is_spanning: bool = True
 
-    def __init__(self, host_n: int, edges: Iterable[Edge], is_spanning: bool = True):
-        object.__setattr__(self, "host_n", host_n)
-        object.__setattr__(self, "edges", _norm_edges(edges))
-        object.__setattr__(self, "is_spanning", is_spanning)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", _norm_edges(self.edges))
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -69,12 +70,10 @@ class TreeCertificate:
         return out
 
     def leaves(self) -> set[int]:
-        deg = self.degrees()
-        return {v for v in self.vertices() if deg[v] == 1}
+        return {v for v, d in enumerate(self.degrees()) if d == 1}
 
     def internal(self) -> set[int]:
-        deg = self.degrees()
-        return {v for v in self.vertices() if deg[v] >= 2}
+        return {v for v, d in enumerate(self.degrees()) if d >= 2}
 
     def to_document(self) -> CertificateDocument:
         return CertificateDocument(
@@ -89,7 +88,7 @@ class TreeCertificate:
     @staticmethod
     def from_document(doc: CertificateDocument) -> "TreeCertificate":
         p = doc.payload_of("hist")
-        return TreeCertificate(p["host_n"], map(tuple, p["tree_edges"]), p["spanning"])
+        return TreeCertificate(p["host_n"], p["tree_edges"], p["spanning"])
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,10 @@ class HalinCertificate:
     """A tree certificate plus a cyclic ordering of its leaves."""
 
     tree: TreeCertificate
-    leaf_cycle: tuple[int, ...]
+    leaf_cycle: tuple[int, ...]  # built from any id sequence
 
-    def __init__(self, tree: TreeCertificate, leaf_cycle: Iterable[int]):
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "leaf_cycle", normalize_cycle(tuple(leaf_cycle)))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "leaf_cycle", normalize_cycle(tuple(self.leaf_cycle)))
 
     def to_document(self) -> CertificateDocument:
         return CertificateDocument(
@@ -116,7 +114,7 @@ class HalinCertificate:
     @staticmethod
     def from_document(doc: CertificateDocument) -> "HalinCertificate":
         p = doc.payload_of("sghg")
-        tree = TreeCertificate(p["host_n"], map(tuple, p["tree_edges"]))
+        tree = TreeCertificate(p["host_n"], p["tree_edges"])
         return HalinCertificate(tree, p["leaf_cycle"])
 
 
@@ -128,16 +126,12 @@ class StarPack:
     """
 
     host_n: int
-    stars: tuple[tuple[int, frozenset[int]], ...]
+    stars: tuple[tuple[int, frozenset[int]], ...]  # built from (center, tips) pairs
     arity: int
 
-    def __init__(
-        self, host_n: int, stars: Iterable[tuple[int, Iterable[int]]], arity: int
-    ):
-        packed = tuple(sorted((c, frozenset(tips)) for c, tips in stars))
-        object.__setattr__(self, "host_n", host_n)
+    def __post_init__(self) -> None:
+        packed = tuple(sorted((c, frozenset(tips)) for c, tips in self.stars))
         object.__setattr__(self, "stars", packed)
-        object.__setattr__(self, "arity", arity)
 
     def centers(self) -> set[int]:
         return {c for c, _ in self.stars}
@@ -202,21 +196,20 @@ def is_hist(g: Graph, t: TreeCertificate) -> Verdict:
         return base
     if not t.is_spanning:
         return Verdict(False, "not-spanning", "certificate does not span host")
-    for v, d in enumerate(t.degrees()):
-        if d == 2:
-            return Verdict(False, "degree-two-vertex", f"vertex {v}")
-    return _OK
+    return _no_degree_two(t)
 
 
 def is_hit_forest(g: Graph, t: TreeCertificate) -> Verdict:
     """Forest inside g whose vertices all avoid degree 2 (need not span)."""
     base = check_tree(g, t)
-    if not base:
-        return base
+    return _no_degree_two(t) if base else base
+
+
+def _no_degree_two(t: TreeCertificate) -> Verdict:
+    """Reject at the smallest vertex of tree degree exactly 2."""
     deg = t.degrees()
-    for v in t.vertices():
-        if deg[v] == 2:
-            return Verdict(False, "degree-two-vertex", f"vertex {v}")
+    if 2 in deg:
+        return Verdict(False, "degree-two-vertex", f"vertex {deg.index(2)}")
     return _OK
 
 
@@ -228,19 +221,17 @@ def is_generalized_halin(g: Graph, h: HalinCertificate) -> Verdict:
     hist = is_hist(g, h.tree)
     if not hist:
         return Verdict(False, "not-a-hist", f"{hist.code}: {hist.detail}")
-    if len(set(cycle)) != len(cycle):
+    cyc_set = set(cycle)
+    if len(cyc_set) != len(cycle):
         return Verdict(False, "cycle-repeats-vertex", "")
     leaves = h.tree.leaves()
-    cyc_set = set(cycle)
     missing = leaves - cyc_set
     if missing:
         return Verdict(False, "cycle-misses-leaf", f"vertex {min(missing)}")
     extra = cyc_set - leaves
     if extra:
         return Verdict(False, "cycle-uses-nonleaf", f"vertex {min(extra)}")
-    k = len(cycle)
-    for i in range(k):
-        u, v = cycle[i], cycle[(i + 1) % k]
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         if not g.has_edge(u, v):
             return Verdict(False, "cycle-edge-absent", f"{u}-{v}")
     return _OK
@@ -265,6 +256,8 @@ def verify_star_pack(
     declared centers."""
     if p.host_n != g.n:
         return Verdict(False, "host-mismatch", f"{p.host_n} != {g.n}")
+    if p.arity < 1:
+        return Verdict(False, "bad-arity", f"arity {p.arity}")
     seen: set[int] = set()
     for c, tips in p.stars:
         if len(tips) != p.arity:
@@ -280,10 +273,8 @@ def verify_star_pack(
                 return Verdict(False, "vertex-out-of-range", f"{c}-{t}")
             if not g.has_edge(c, t):
                 return Verdict(False, "star-edge-absent", f"{c}-{t}")
-    if required_centers is not None:
-        want = set(required_centers)
-        if p.centers() != want:
-            return Verdict(False, "wrong-centers", "")
+    if required_centers is not None and p.centers() != set(required_centers):
+        return Verdict(False, "wrong-centers", "")
     return _OK
 
 

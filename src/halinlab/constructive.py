@@ -104,17 +104,15 @@ def dense_hist(h: Graph, params: DenseHistParams) -> TreeCertificate:
     inside = {root, *neighbors}
     while len(inside) < n:
         u, w, anchor = absorb_pair(h, inside, params.alpha_prime)
-        edges.append((min(anchor, u), max(anchor, u)))
-        edges.append((min(anchor, w), max(anchor, w)))
-        inside.add(u)
-        inside.add(w)
+        edges += [(anchor, u), (anchor, w)]
+        inside |= {u, w}
     tree = TreeCertificate(n, edges)
-    deg = tree.degrees()
-    if deg[root] < (2 / 3 - params.alpha_prime) * n - 1:
+    root_deg = tree.degree(root)
+    if root_deg < (2 / 3 - params.alpha_prime) * n - 1:
         raise FalsificationError(
-            "root degree postcondition failed", {"deg": deg[root], "n": n}
+            "root degree postcondition failed", {"deg": root_deg, "n": n}
         )
-    internal = sum(1 for v in range(n) if deg[v] >= 2)
+    internal = len(tree.internal())
     if internal > (1 / 6 + params.alpha_prime / 2) * n + 2:
         raise FalsificationError(
             "internal-count postcondition failed", {"internal": internal, "n": n}
@@ -320,21 +318,15 @@ def tripartite_hist(
 
     tree = TreeCertificate(a_size + b_size + f_size, edges)
 
-    deg = tree.degrees()
-    f_leaves = [v for v in f_ids if deg[v] == 1]
-    path: tuple[int, ...] = ()
-    if f_leaves:
-        b_leaves = [v for v in b_ids if deg[v] == 1][: len(f_leaves)]
-        if len(b_leaves) < len(f_leaves):
-            raise FalsificationError(
-                "companion path ran out of B leaves",
-                {"f_leaves": len(f_leaves), "b_leaves": len(b_leaves)},
-            )
-        woven: list[int] = []
-        for bv, fv in zip(b_leaves, f_leaves):
-            woven.extend((bv, fv))
-        path = tuple(woven)
-    return tree, path
+    leaves = tree.leaves()
+    f_leaves = [v for v in f_ids if v in leaves]
+    b_leaves = [v for v in b_ids if v in leaves][: len(f_leaves)]
+    if len(b_leaves) < len(f_leaves):
+        raise FalsificationError(
+            "companion path ran out of B leaves",
+            {"f_leaves": len(f_leaves), "b_leaves": len(b_leaves)},
+        )
+    return tree, tuple(v for pair in zip(b_leaves, f_leaves) for v in pair)
 
 
 # -- matching lower bound -----------------------------------------------------
@@ -395,7 +387,6 @@ def star_pack(
     if arity < 1:
         raise PreconditionError("arity must be positive")
     tip_of: dict[int, int] = {}  # tip -> center currently using it
-    tips: dict[int, set[int]] = {c: set() for c in centers}
 
     def augment(root: int) -> bool:
         """One augmenting path from root, depth first on an explicit stack.
@@ -422,12 +413,9 @@ def star_pack(
             if owner is not None:
                 stack.append(frame(owner))
                 continue
-            # A free tip: every frame takes its tip, the deepest first.
-            for c, _, t in reversed(stack):
-                if t in tip_of:
-                    tips[tip_of[t]].discard(t)
+            # A free tip: every frame takes the tip it tried.
+            for c, _, t in stack:
                 tip_of[t] = c
-                tips[c].add(t)
             return True
         return False
 
@@ -435,4 +423,7 @@ def star_pack(
         for _ in range(arity):
             if not augment(c):
                 return None
-    return StarPack(g.n, [(c, tuple(sorted(tips[c]))) for c in centers], arity)
+    stars: dict[int, list[int]] = {c: [] for c in centers}
+    for t, c in tip_of.items():
+        stars[c].append(t)
+    return StarPack(g.n, stars.items(), arity)

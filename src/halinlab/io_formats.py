@@ -172,7 +172,7 @@ def _utf8(raw: bytes) -> str:
 # Every document kind, field by field.  Shapes: "count" is the host's
 # vertex count, and every id in a document that has one must lie below
 # it; "int" an integer, "flag" a boolean, "id" one vertex id, "ids" a
-# list of ids, "pair" two ids, "pairs" a list of distinct unordered id
+# list of distinct ids, "pair" two ids, "pairs" a list of distinct unordered id
 # pairs (emitted sorted), "triples" a list of id triples, "cycle" a
 # cyclic id sequence (emitted normalized), "json" free JSON, and a dict
 # a list of records with those fields.
@@ -278,11 +278,13 @@ def _field_ids(value, shape, what: str) -> list[int]:
         ids = [v for item in _list(value, what) for v in _list(item, what, size)]
     else:
         ids = _list(value, what)
-    bad = [v for v in ids if not isinstance(v, int) or isinstance(v, bool)]
+    bad = [v for v in ids if not _is_int(v)]
     if bad:
         raise PreconditionError(f"{what}: vertex id {bad[0]!r} is not an integer")
     if shape == "pairs" and len(set(map(frozenset, value))) != len(value):
         raise PreconditionError(f"{what} repeats a pair")
+    if shape == "ids" and len(set(ids)) != len(ids):
+        raise PreconditionError(f"{what} repeats an id")
     return ids
 
 

@@ -125,6 +125,8 @@ def test_star_pack_verify():
         verify_star_pack(Graph.empty(6), StarPack(6, [(0, (3, 4))], 2), {0}).code
         == "star-edge-absent"
     )
+    empty_stars = StarPack(3, [(0, ()), (1, ()), (2, ())], 0)
+    assert verify_star_pack(Graph.complete(3), empty_stars, {0, 1, 2}).code == "bad-arity"
 
 
 def test_star_pack_document_round_trip():
@@ -153,6 +155,9 @@ def test_hit_forest_checker():
     assert is_hit_forest(g, forest)
     with_path = TreeCertificate(12, [(0, 4), (4, 1)], is_spanning=False)
     assert is_hit_forest(g, with_path).code == "degree-two-vertex"
+    # Two degree-2 vertices: the smallest is reported, whatever the set order.
+    path = TreeCertificate(20, [(3, 1), (1, 8), (8, 5)], is_spanning=False)
+    assert is_hit_forest(Graph.complete(20), path).detail == "vertex 1"
 
 
 def test_sghg_invariants_on_random_certificates():

@@ -215,6 +215,8 @@ def test_verify_rejects_malformed_vertex_list(k4, tmp_path):
         # [0,1] and [1,0] are one edge: read as a set they would pass as a
         # star with three leaves, so the document is malformed, not invalid.
         ("hist", {"host_n": 4, "tree_edges": [[0, 1], [1, 0], [0, 2], [0, 3]], "spanning": True}),
+        # Likewise a repeated tip: read as a set it would pass as one edge.
+        ("matching", {"host_n": 4, "arity": 1, "stars": [{"center": 0, "tips": [1, 1]}]}),
     ],
 )
 def test_verify_malformed_document(k4, tmp_path, kind, payload):
@@ -231,6 +233,17 @@ def test_verify_rejects_a_matching_for_another_host(tmp_path, capsys):
     cert.write_text(json.dumps({"kind": "matching", "payload": payload}))
     assert main(["verify", "--graph", str(k5), "--cert", str(cert)]) == 1
     assert "invalid: host-mismatch 2 != 5" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_matching_of_arity_zero(tmp_path, capsys):
+    k3 = tmp_path / "k3.g6"
+    k3.write_bytes(emit_graph6(Graph.complete(3)) + b"\n")
+    payload = {"host_n": 3, "arity": 0, "stars": [{"center": c, "tips": []} for c in range(3)]}
+    cert = tmp_path / "m.json"
+    cert.write_text(json.dumps({"kind": "matching", "payload": payload}))
+    argv = ["verify", "--graph", str(k3), "--cert", str(cert), "--centers", "0,1,2"]
+    assert main(argv) == 1
+    assert "invalid: bad-arity" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

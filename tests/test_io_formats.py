@@ -209,6 +209,13 @@ def test_certificate_validation():
         ("hist", {"host_n": 3, "tree_edges": [], "spanning": True, "extra": 1}),
         ("hist", {"host_n": -1, "tree_edges": [], "spanning": True}),
         ("experiment-report", {"parameters": {}, "trials": []}),
+        # A repeated id in an id list: read as a set it would pass.
+        ("matching", {"host_n": 3, "arity": 1, "stars": [{"center": 0, "tips": [1, 1]}]}),
+        (
+            "reduction-trace",
+            {"base_n": 4, "terminals": [0, 3], "z_order": [1, 1], "pendant_ids": [4, 5],
+             "gadget_ids": [[6, 7, 8], [9, 10, 11]], "cycle_edges": []},
+        ),
     ],
 )
 def test_certificate_validation_rejects_malformed_payloads(kind, payload):
@@ -240,7 +247,7 @@ def documents(draw, kind):
     elif kind == "sghg":
         fields = {"tree_edges": draw(pairs), "leaf_cycle": draw(st.lists(ids))}
     else:
-        star = st.fixed_dictionaries({"center": ids, "tips": st.lists(ids, max_size=4)})
+        star = st.fixed_dictionaries({"center": ids, "tips": st.lists(ids, max_size=4, unique=True)})
         fields = {"arity": draw(st.integers(-2, 5)), "stars": draw(st.lists(star, max_size=5))}
     return CertificateDocument(kind, {"host_n": n, **fields})
 
