@@ -58,6 +58,9 @@ class TreeCertificate:
     def degrees(self) -> list[int]:
         deg = [0] * self.host_n
         for u, v in self.edges:
+            if u < 0 or v >= len(deg):  # a negative id would index from the end
+                bad = u if u < 0 else v
+                raise IndexError(f"vertex {bad} out of range for n={len(deg)}")
             deg[u] += 1
             deg[v] += 1
         return deg

@@ -17,11 +17,13 @@ import io
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .certify import is_generalized_halin
 from .errors import BudgetExhausted, FalsificationError, PreconditionError
-from .graph import Graph, bipartition, vertex_connectivity_at_least
+from .graph import Graph, VertexSetPair, vertex_connectivity_at_least
 from .io_formats import CertificateDocument, emit_certificate
 from .search import UNBOUNDED, SearchBudget, balanced_leaf_hist_exists, find_sghg
 
@@ -46,15 +48,11 @@ def sharpness_instance(a: int) -> tuple[Graph, SharpnessInstance]:
     """The no-SGHG complete bipartite example for a given left side."""
     if a < 2:
         raise PreconditionError("need a >= 2")
-    if a % 2 == 1:
-        b = (3 * a - 1) // 2
-        n = a + b
-        predicted = (2 * n + 1) // 5
-    else:
-        b = (3 * a - 2) // 2
-        n = a + b
-        predicted = (2 * n + 2) // 5
-    meta = SharpnessInstance(a, b, n, predicted)
+    # b is (3a-1)/2 for odd a and (3a-2)/2 for even a, so 2n+2 is 5a+1
+    # or 5a, and the predicted minimum degree (2n+2)//5 is a either way.
+    b = (3 * a - 1) // 2
+    n = a + b
+    meta = SharpnessInstance(a, b, n, (2 * n + 2) // 5)
     meta.check_arithmetic()
     return Graph.complete_bipartite(a, b), meta
 
@@ -72,11 +70,7 @@ class SharpnessReport:
 
     @property
     def confirmed(self) -> bool:
-        return (
-            self.conclusive
-            and self.balanced_hist_found is False
-            and self.sghg_status == "none"
-        )
+        return self.balanced_hist_found is False and self.sghg_status == "none"
 
 
 def confirm_sharpness(a: int, budget: SearchBudget = UNBOUNDED) -> SharpnessReport:
@@ -86,8 +80,7 @@ def confirm_sharpness(a: int, budget: SearchBudget = UNBOUNDED) -> SharpnessRepo
     would contradict the counting argument and raises a falsification.
     """
     g, meta = sharpness_instance(a)
-    sides = bipartition(g)
-    assert sides is not None
+    sides = VertexSetPair(range(a), range(a, meta.n))
     balanced: bool | None
     try:
         balanced = balanced_leaf_hist_exists(g, sides, budget)
@@ -123,7 +116,7 @@ def random_three_connected(n: int, min_degree: int, rng: random.Random) -> Graph
     """Sample G(n,p) at escalating p until 3-connected with the floor met."""
     if n < 4 or min_degree > n - 1:
         return None
-    base_p = max(min_degree / max(n - 1, 1), 0.3)
+    base_p = max(min_degree / (n - 1), 0.3)
     draw = rng.random
     for attempt in range(_MAX_ATTEMPTS):
         p = min(1.0, base_p + (1.0 - base_p) * attempt / _MAX_ATTEMPTS)
@@ -157,10 +150,7 @@ class ExperimentReport:
     trials: list[TrialRecord] = field(default_factory=list)
 
     def rates(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for t in self.trials:
-            out[t.outcome] = out.get(t.outcome, 0) + 1
-        return out
+        return dict(Counter(t.outcome for t in self.trials))
 
     def to_document(self) -> CertificateDocument:
         # Runtime is environment noise and stays out of the canonical
@@ -199,29 +189,24 @@ def run_trial(
     n: int, delta_fraction: float, seed: int, index: int, budget: SearchBudget
 ) -> TrialRecord:
     """One generate-and-solve round, deterministic in (seed, index)."""
-    rng = trial_rng(seed, index)
-    floor = math.ceil(delta_fraction * n)
+    seed_hash = trial_seed_hash(seed, index)
     started = time.monotonic()
-    g = random_three_connected(n, floor, rng)
-    if g is None:
-        ms = int((time.monotonic() - started) * 1000)
-        return TrialRecord(index, trial_seed_hash(seed, index), "skipped", ms, None)
-    result = find_sghg(g, budget)
+    g = random_three_connected(n, math.ceil(delta_fraction * n), trial_rng(seed, index))
+    result = None if g is None else find_sghg(g, budget)
     ms = int((time.monotonic() - started) * 1000)
-    digest = None
-    if result.found:
-        cert = result.certificate
-        if not is_generalized_halin(g, cert):
-            raise FalsificationError(
-                "solver emitted an invalid certificate", {"trial": index}
-            )
-        digest = hashlib.sha256(
-            emit_certificate(cert.to_document()).encode()
-        ).hexdigest()[:16]
-    outcome = {"found": "sghg-found", "none": "none", "unknown": "unknown"}[
-        result.status
-    ]
-    return TrialRecord(index, trial_seed_hash(seed, index), outcome, ms, digest)
+    outcome, digest = "skipped", None
+    if result is not None:
+        outcome = "sghg-found" if result.found else result.status
+        if result.found:
+            cert = result.certificate
+            if not is_generalized_halin(g, cert):
+                raise FalsificationError(
+                    "solver emitted an invalid certificate", {"trial": index}
+                )
+            digest = hashlib.sha256(
+                emit_certificate(cert.to_document()).encode()
+            ).hexdigest()[:16]
+    return TrialRecord(index, seed_hash, outcome, ms, digest)
 
 
 def threshold_experiment(
@@ -254,20 +239,12 @@ def threshold_experiment(
         "node_limit": budget.node_limit,
         "mode": budget.mode,
     }
-    report = ExperimentReport(params)
-    if trials == 0:
-        return report
+    trial = partial(run_trial, n, delta_fraction, seed, budget=budget)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_trial, n, delta_fraction, seed, i, budget)
-                for i in range(trials)
-            ]
-            report.trials = [f.result() for f in futures]
+            records = list(pool.map(trial, range(trials)))
     else:
-        report.trials = [
-            run_trial(n, delta_fraction, seed, i, budget) for i in range(trials)
-        ]
-    return report
+        records = list(map(trial, range(trials)))
+    return ExperimentReport(params, records)

@@ -160,13 +160,13 @@ def _tally(inst: InsertionInstance, edges: list[Edge], expected: dict[str, int],
     cert = TreeCertificate(inst.host.n, edges, is_spanning=False)
     deg = cert.degrees()
     a, b = set(inst.side_a), set(inst.side_b)
-    verts = cert.vertices()
+    verts, leaves = cert.vertices(), cert.leaves()
     counts = {
-        "a_vertices": sum(1 for v in verts if v in a),
-        "b_vertices": sum(1 for v in verts if v in b),
-        "a_leaves": sum(1 for v in verts if v in a and deg[v] == 1),
-        "b_leaves": sum(1 for v in verts if v in b and deg[v] == 1),
-        "degree_two": sum(1 for v in verts if deg[v] == 2),
+        "a_vertices": len(verts & a),
+        "b_vertices": len(verts & b),
+        "a_leaves": len(leaves & a),
+        "b_leaves": len(leaves & b),
+        "degree_two": deg.count(2),
         "components": len(verts) - len(cert.edges),
     }
     mismatch = {k: (counts[k], expected[k]) for k in expected if counts[k] != expected[k]}
@@ -175,8 +175,7 @@ def _tally(inst: InsertionInstance, edges: list[Edge], expected: dict[str, int],
             f"{op} counts disagree with the closed-form prediction",
             {"mismatch": mismatch},
         )
-    inserted_internal = all(deg[x] >= 3 for x in inst.inserted)
-    if not inserted_internal:
+    if not all(deg[x] >= 3 for x in inst.inserted):
         raise FalsificationError(f"{op} left an inserted vertex non-internal", {})
     return GadgetResult(cert, counts)
 

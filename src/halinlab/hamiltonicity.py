@@ -65,9 +65,8 @@ def _crossing_index(g: Graph, seq: list[int], i: int, cyclic: bool) -> int:
 
 def _apply_crossing(seq: list[int], i: int, j: int) -> list[int]:
     """Reverse the segment between positions i and j of a path sequence."""
-    if j < i:
-        return seq[: j + 1] + seq[j + 1 : i + 1][::-1] + seq[i + 1 :]
-    return seq[: i + 1] + seq[i + 1 : j + 1][::-1] + seq[j + 1 :]
+    lo, hi = min(i, j), max(i, j)
+    return seq[: lo + 1] + seq[lo + 1 : hi + 1][::-1] + seq[hi + 1 :]
 
 
 def _rotate_cycle(seq: list[int], i: int, j: int) -> list[int]:

@@ -160,6 +160,15 @@ def test_hit_forest_checker():
     assert is_hit_forest(Graph.complete(20), path).detail == "vertex 1"
 
 
+@pytest.mark.parametrize("edge, bad", [((-1, 0), -1), ((0, 3), 3)])
+def test_degree_views_reject_out_of_range_ids(edge, bad):
+    # Both ends fail alike; a negative id must not wrap to the last index.
+    t = TreeCertificate(3, [edge], is_spanning=False)
+    for view in (t.degrees, t.leaves, t.internal):
+        with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):
+            view()
+
+
 def test_sghg_invariants_on_random_certificates():
     rng = random.Random(23)
     checked = 0

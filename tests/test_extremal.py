@@ -105,9 +105,10 @@ def test_threshold_experiment_parallel_matches_sequential():
 
 
 def test_threshold_experiment_empty():
-    report = threshold_experiment(10, 0.8, 0, 1, SearchBudget(node_limit=10))
-    assert report.trials == [] and report.rates() == {}
-    assert "experiment-report" in emit_certificate(report.to_document())
+    for threads in (1, 2):
+        report = threshold_experiment(10, 0.8, 0, 1, SearchBudget(node_limit=10), threads)
+        assert report.trials == [] and report.rates() == {}
+        assert "experiment-report" in emit_certificate(report.to_document())
 
 
 def test_sharpness_trial_injection():
