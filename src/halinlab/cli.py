@@ -83,8 +83,7 @@ def _vertex_set(text: str) -> set[int]:
 # -- command bodies -------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_verify(args, g: Graph) -> int:
     doc = load_certificate(args.cert)
     if args.centers is not None and doc.kind != "matching":
         raise PreconditionError("--centers applies only to matching documents")
@@ -103,8 +102,7 @@ def cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
-def cmd_solve(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_solve(args, g: Graph) -> int:
     if args.node_limit is None and args.time_limit is None:
         raise PreconditionError(
             "solve requires --node-limit or --time-limit (budgets are mandatory)"
@@ -123,15 +121,14 @@ def cmd_solve(args) -> int:
     return _emit(args, verify(g, cert), cert.to_document(), summary)
 
 
-def cmd_hampath(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_hampath(args, g: Graph) -> int:
     budget = SearchBudget(args.node_limit, args.time_limit)
-    witness = hamiltonicity.check_ore_plus(g)
-    if witness.holds:
+    pair = hamiltonicity.check_ore_plus(g)
+    if pair is None:
         print("degree-sum condition: holds (constructive route)")
         path = hamiltonicity.ore_ham_path(g, args.x, args.y)
     else:
-        print(f"degree-sum condition: fails at {witness.violating_pair} (exact search)")
+        print(f"degree-sum condition: fails at {pair} (exact search)")
         path = ham_path_oracle(g, args.x, args.y, budget)
     if path is None:
         print("no hamiltonian path")
@@ -142,8 +139,7 @@ def cmd_hampath(args) -> int:
     return EXIT_OK
 
 
-def cmd_hamcycle(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_hamcycle(args, g: Graph) -> int:
     sides = bipartition(g)
     if sides is None:
         raise PreconditionError("graph is not bipartite")
@@ -154,8 +150,7 @@ def cmd_hamcycle(args) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_reduce(args, g: Graph) -> int:
     gpp, trace = reduction.reduce_instance(g, args.x, args.y)
     _write_out(args.out_graph, emit_graph6(gpp).decode("ascii") + "\n")
     _write_out(args.out_trace, emit_certificate(trace.to_document()))
@@ -163,8 +158,7 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_project(args, g: Graph) -> int:
     trace = reduction.ReductionTrace.from_document(load_certificate(args.trace))
     cert = HalinCertificate.from_document(load_certificate(args.cert))
     base = g.induced_subgraph(range(trace.base_n))[0]
@@ -185,8 +179,7 @@ def _emit(args, verdict, doc, summary: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_build_dense(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_build_dense(args, g: Graph) -> int:
     tree = constructive.dense_hist(
         g, constructive.DenseHistParams(args.alpha_prime, args.root)
     )
@@ -218,8 +211,7 @@ def cmd_build_tripartite(args) -> int:
     return code
 
 
-def cmd_build_matching(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_build_matching(args, g: Graph) -> int:
     pack = constructive.matching_lower_bound(g)
     summary = (
         f"matching of size {len(pack.stars)} (edges {g.edge_count}, "
@@ -229,8 +221,7 @@ def cmd_build_matching(args) -> int:
     return _emit(args, verdict, pack.to_document(), summary)
 
 
-def cmd_build_starpack(args) -> int:
-    g = load_graph(args.graph, args.format)
+def cmd_build_starpack(args, g: Graph) -> int:
     pack = constructive.star_pack(g, args.centers, args.tips_from, args.arity)
     if pack is None:
         print("no star pack exists")
@@ -329,6 +320,7 @@ OPTIONS: dict[str, dict] = {
 #: Every command: its words, help, handler and arguments in usage notation
 #: ([--flag] is optional).  A row with no handler groups the rows below it,
 #: and its last field names the attribute that records which of them ran.
+#: A handler whose command takes --graph is also passed the loaded host.
 COMMANDS = (
     ("verify", "check a certificate against a host graph", cmd_verify,
      "--graph [--format] --cert [--centers]"),
@@ -390,6 +382,8 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if "graph" in args:
+            return args.func(args, load_graph(args.graph, args.format))
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

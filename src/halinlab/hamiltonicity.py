@@ -21,46 +21,30 @@ from .errors import FalsificationError, PreconditionError
 from .graph import Graph, VertexSetPair, edge_inside
 
 
-@dataclass(frozen=True)
-class OreWitness:
-    """Outcome of the degree-sum precheck; absent pair means it holds."""
-
-    violating_pair: tuple[int, int] | None
-
-    @property
-    def holds(self) -> bool:
-        return self.violating_pair is None
-
-
-def check_ore_plus(g: Graph) -> OreWitness:
-    """Exact scan: every nonadjacent pair needs d(x)+d(y) >= n+1; the
-    witness is the lexicographically first pair that fails."""
-    n = g.n
-    at_most = [0] * (n + 1)  # at_most[t]: the vertices of degree <= t
-    for v in range(n):
+def _light_pair(g: Graph, rows, cols, bound: int) -> tuple[int, int] | None:
+    """First nonadjacent pair (u, v) with d(u)+d(v) <= bound: u in the order
+    of `rows`, v the lowest qualifying bit of the column mask cols(u)."""
+    at_most = [0] * (g.n + 1)  # at_most[t]: the vertices of degree <= t
+    for v in range(g.n):
         at_most[g.degree(v)] |= 1 << v
-    for t in range(1, n + 1):
+    for t in range(1, g.n + 1):
         at_most[t] |= at_most[t - 1]
-    for u in range(n):
-        bad = at_most[n - g.degree(u)] & ~g.neighbor_mask(u) & -(2 << u)
+    for u in rows:
+        bad = at_most[bound - g.degree(u)] & ~g.neighbor_mask(u) & cols(u)
         if bad:
-            return OreWitness((u, (bad & -bad).bit_length() - 1))
-    return OreWitness(None)
+            return u, (bad & -bad).bit_length() - 1
+    return None
+
+
+def check_ore_plus(g: Graph) -> tuple[int, int] | None:
+    """Exact scan: every nonadjacent pair needs d(x)+d(y) >= n+1; returns
+    the lexicographically first pair that fails, or None if none does."""
+    return _light_pair(g, range(g.n), lambda u: -(2 << u), g.n)
 
 
 @dataclass
 class RotationStats:
     rotations: int = 0
-
-
-def _crossing_index(g: Graph, seq: list[int], i: int, cyclic: bool) -> int:
-    """Smallest j != i with seq[j] ~ seq[i] and seq[j+1] ~ seq[i+1]."""
-    k = len(seq)
-    u, v = seq[i], seq[(i + 1) % k]
-    for j in range(k if cyclic else k - 1):
-        if j != i and g.has_edge(u, seq[j]) and g.has_edge(v, seq[(j + 1) % k]):
-            return j
-    return -1
 
 
 def _apply_crossing(seq: list[int], i: int, j: int) -> list[int]:
@@ -85,13 +69,14 @@ def verify_walk(
     closed: bool,
     endpoints: tuple[int, int] | None = None,
 ) -> bool:
-    """Independent check: spans g once, uses host edges, hits endpoints."""
+    """Independent check: spans g once, uses host edges, hits endpoints;
+    a closed walk needs at least 3 vertices."""
     if sorted(walk) != list(range(g.n)):
         return False
     for a, b in zip(walk, walk[1:]):
         if not g.has_edge(a, b):
             return False
-    if closed and g.n >= 1 and not g.has_edge(walk[-1], walk[0]):
+    if closed and (g.n < 3 or not g.has_edge(walk[-1], walk[0])):
         return False
     if endpoints is not None and (walk[0], walk[-1]) != endpoints:
         return False
@@ -109,14 +94,18 @@ def _repair(
     k = len(seq)
     top = k if cyclic else k - 1
     exchange = _rotate_cycle if cyclic else _apply_crossing
+    masks = g._masks  # the sequence holds only vertex ids of g
     for _ in range(k + 1):
         bad = next(
-            (i for i in range(top) if not g.has_edge(seq[i], seq[(i + 1) % k])), None
+            (i for i in range(top) if not masks[seq[i]] >> seq[(i + 1) % k] & 1), None
         )
         if bad is None:
             return tuple(seq)
-        j = _crossing_index(g, seq, bad, cyclic)
-        if j < 0:
+        # The crossing: smallest j != bad with seq[j] ~ seq[bad] and
+        # seq[j+1] ~ seq[bad+1]; j = bad fails the first test, as g has no loops.
+        u, v = masks[seq[bad]], masks[seq[(bad + 1) % k]]
+        j = next((j for j in range(top) if u >> seq[j] & 1 and v >> seq[(j + 1) % k] & 1), None)
+        if j is None:
             raise FalsificationError(
                 "no crossing exchange for a virtual edge despite the "
                 "degree-sum condition",
@@ -143,11 +132,9 @@ def ore_ham_path(
         raise PreconditionError("endpoints must differ")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise PreconditionError("endpoint out of range")
-    witness = check_ore_plus(g)
-    if not witness.holds:
-        raise PreconditionError(
-            f"degree-sum condition fails at pair {witness.violating_pair}"
-        )
+    pair = check_ore_plus(g)
+    if pair is not None:
+        raise PreconditionError(f"degree-sum condition fails at pair {pair}")
     seq = [x] + sorted(set(range(g.n)) - {x, y}) + [y]
     return _repair(g, seq, cyclic=False, stats=stats)
 
@@ -165,11 +152,11 @@ def moon_moser_cycle(
         raise PreconditionError("sides must cover the vertex set")
     if edge := edge_inside(g, left, right):
         raise PreconditionError("edge {}-{} inside one side".format(*edge))
-    for u in left:
-        for v in right:
-            if not g.has_edge(u, v) and g.degree(u) + g.degree(v) <= m:
-                raise PreconditionError(
-                    f"cross degree-sum condition fails at pair ({u},{v})"
-                )
+    # The checks above bound d(u) by m on the left: no scan index is negative.
+    right_mask = sum(1 << v for v in right)
+    if light := _light_pair(g, left, lambda u: right_mask, m):
+        raise PreconditionError(
+            "cross degree-sum condition fails at pair ({},{})".format(*light)
+        )
     seq = [v for pair in zip(left, right) for v in pair]
     return _repair(g, seq, cyclic=True, stats=stats)

@@ -73,8 +73,10 @@ _SIX_BITS = [format(c - 63, "06b") if 63 <= c <= 126 else "" for c in range(256)
 
 def parse_graph6(text: bytes | str) -> Graph:
     """Decode one graph6 value (optionally prefixed with '>>graph6<<')."""
-    data = text.encode("ascii") if isinstance(text, str) else text
-    data = data.strip()
+    try:
+        data = (text.encode("ascii") if isinstance(text, str) else text).strip()
+    except UnicodeEncodeError as exc:
+        raise ParseError("graph6 text is not ASCII", exc.start) from None
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<") :]
     n, used = _decode_n(data)

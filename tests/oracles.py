@@ -107,6 +107,16 @@ def pair_scan_ore_witness(g: Graph) -> tuple[int, int] | None:
     return None
 
 
+def pair_scan_moon_moser_witness(g: Graph, left, right) -> tuple[int, int] | None:
+    """First nonadjacent cross pair (u, v), u over sorted `left` and then v
+    over sorted `right`, with d(u) + d(v) <= |left|: a nested loop."""
+    for u in sorted(left):
+        for v in sorted(right):
+            if not g.has_edge(u, v) and g.degree(u) + g.degree(v) <= len(left):
+                return (u, v)
+    return None
+
+
 def set_greedy_matching(g: Graph) -> list[tuple[int, int]]:
     """Lex-least greedy matching on per-vertex neighbour sets: match u to
     its least live neighbour, then delete both ends from every set."""

@@ -13,11 +13,16 @@ from halinlab.hamiltonicity import (
     verify_walk,
 )
 
-from oracles import brute_ham_path, pair_scan_ore_witness, random_graph
+from oracles import (
+    brute_ham_path,
+    pair_scan_moon_moser_witness,
+    pair_scan_ore_witness,
+    random_graph,
+)
 
 
 def ore_holds(g: Graph) -> bool:
-    return check_ore_plus(g).holds
+    return check_ore_plus(g) is None
 
 
 def test_check_ore_plus_examples():
@@ -25,7 +30,7 @@ def test_check_ore_plus_examples():
     assert not ore_holds(Graph.cycle(5))
     k5e = Graph(5, [e for e in Graph.complete(5).edges() if e != (0, 1)])
     assert ore_holds(k5e)
-    assert check_ore_plus(Graph.cycle(5)).violating_pair is not None
+    assert check_ore_plus(Graph.cycle(5)) is not None
 
 
 def test_check_ore_plus_matches_the_pair_scan():
@@ -35,7 +40,7 @@ def test_check_ore_plus_matches_the_pair_scan():
     for _ in range(400):
         n = rng.randrange(0, 61)
         g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8, 0.9, 0.97, 1.0]))
-        assert check_ore_plus(g).violating_pair == pair_scan_ore_witness(g)
+        assert check_ore_plus(g) == pair_scan_ore_witness(g)
 
 
 def test_ore_ham_path_small():
@@ -124,6 +129,15 @@ def test_verify_walk_rejects(walk, closed, endpoints):
     assert not verify_walk(p4, walk, closed=closed, endpoints=endpoints)
 
 
+def test_verify_walk_rejects_closed_walks_below_three_vertices():
+    # K_2's one edge cannot close a cycle by being used twice, and K_0's
+    # empty walk is no cycle either.
+    assert verify_walk(Graph.complete(2), (0, 1), closed=False)
+    assert not verify_walk(Graph.complete(2), (0, 1), closed=True)
+    assert not verify_walk(Graph.empty(0), (), closed=True)
+    assert verify_walk(Graph.complete(3), (0, 1, 2), closed=True)
+
+
 def test_moon_moser_examples():
     k33 = Graph.complete_bipartite(3, 3)
     c = moon_moser_cycle(k33, bipartition(k33))
@@ -169,3 +183,23 @@ def test_moon_moser_rejects_bad_input():
     sparse = Graph(6, [(0, 3), (1, 4), (2, 5)])
     with pytest.raises(PreconditionError):
         moon_moser_cycle(sparse, VertexSetPair([0, 1, 2], [3, 4, 5]))
+
+
+def test_moon_moser_names_the_pair_of_the_cross_scan():
+    """The rejected pair is the first one of a scan over sorted left x
+    sorted right, on hosts from sparse to dense whose sides interleave."""
+    rng = random.Random(43)
+    for _ in range(300):
+        m = rng.randrange(2, 9)
+        left = rng.sample(range(2 * m), m)
+        right = sorted(set(range(2 * m)) - set(left))
+        p = rng.choice([0.2, 0.5, 0.8, 0.9, 1.0])
+        g = Graph(2 * m, [(u, v) for u in left for v in right if rng.random() < p])
+        sides = VertexSetPair(left, right)
+        pair = pair_scan_moon_moser_witness(g, left, right)
+        if pair is None:
+            assert verify_walk(g, moon_moser_cycle(g, sides), closed=True)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                moon_moser_cycle(g, sides)
+            assert str(err.value) == "cross degree-sum condition fails at pair ({},{})".format(*pair)

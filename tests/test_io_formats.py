@@ -66,6 +66,9 @@ def test_graph6_errors_carry_offsets():
         parse_graph6(b"C~~")  # trailing bytes
     with pytest.raises(ParseError):
         parse_graph6(b"B" + bytes([64]))  # nonzero padding for P3 slot
+    with pytest.raises(ParseError) as err:
+        parse_graph6("B\u00e9")  # a str with a non-ASCII character
+    assert err.value.offset == 1
 
 
 @given(st.integers(0, 300), st.floats(0, 1), st.randoms(use_true_random=False))
