@@ -240,10 +240,13 @@ def threshold_experiment(
         "mode": budget.mode,
     }
     trial = partial(run_trial, n, delta_fraction, seed, budget=budget)
-    if threads > 1:
+    # The pool forks all its workers at the first submit, so it gets no
+    # more of them than there are trials.
+    workers = min(threads, trials)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(trial, range(trials)))
     else:
         records = list(map(trial, range(trials)))

@@ -78,7 +78,7 @@ def verify_walk(
             return False
     if closed and (g.n < 3 or not g.has_edge(walk[-1], walk[0])):
         return False
-    if endpoints is not None and (walk[0], walk[-1]) != endpoints:
+    if endpoints is not None and (not walk or (walk[0], walk[-1]) != endpoints):
         return False
     return True
 

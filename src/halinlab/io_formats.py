@@ -108,22 +108,26 @@ def parse_graph6(text: bytes | str) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n m" header plus one "u v" pair per line."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse "n m" header plus one "u v" pair per line.  Blank lines are
+    skipped; an error's offset is its physical 1-based line number."""
+    stripped = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    lines = [(lineno, ln) for lineno, ln in stripped if ln]
     if not lines:
         raise ParseError("empty edge list")
-    head = lines[0].split()
+    head_line, head = lines[0][0], lines[0][1].split()
     if len(head) != 2:
-        raise ParseError("header must be 'n <edge count>'", 1)
+        raise ParseError("header must be 'n <edge count>'", head_line)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError("non-integer header", 1) from None
+        raise ParseError("non-integer header", head_line) from None
+    if n < 0:
+        raise ParseError(f"negative vertex count {n}", head_line)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges: list[tuple[int, int]] = []
     seen = set()
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError("edge line must be 'u v'", lineno)

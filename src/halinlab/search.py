@@ -53,8 +53,10 @@ leaves both unchanged does not repeat it: the parent node passed it on
 the same masks, and the root passes it trivially.
 
 One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
-oracle and the leaf cycles of SGHG search; its nodes count against the
-same kind of budget, through `_Meter`.
+oracle and the leaf cycles of SGHG search.  It walks a vertex mask of the
+host (every vertex, or the current leaves) on the host's own neighbour
+masks, and its nodes count against the same kind of budget, through
+`_Meter`.
 
 `_solve` maps a search into a `SearchResult` once, for both `find_hist`
 and `find_sghg`.  `balanced_leaf_hist_exists` keeps its own loop, because
@@ -251,11 +253,10 @@ class _TreeSearch(_Meter):
         # in SGHG search, not the tree neighbour of a committed leaf);
         # committed: vertices that must end as leaves.
         potential, committed = self.full, 0
-        # Level i decides edge i; these hold its step, the union-find root
-        # it attached, and the leaf masks to restore when it is left.
+        # Level i decides edge i; `saved` holds the leaf masks and `needy` to
+        # restore when it is left, and the root its include branch attaches.
         step = [_ENTER] * (m + 1)
-        joined = [0] * m
-        saved = [(0, 0)] * m
+        saved = [(0, 0, 0, 0)] * m
         i = 0
         while i >= 0:
             s = step[i]
@@ -271,31 +272,27 @@ class _TreeSearch(_Meter):
                     i -= 1
                     continue
                 u, v = edges[i]
-                saved[i] = (potential, committed)
                 ru = u
                 while parent[ru] != ru:
                     ru = parent[ru]
                 rv = v
                 while parent[rv] != rv:
                     rv = parent[rv]
+                if rank[ru] > rank[rv]:
+                    ru, rv = rv, ru
+                saved[i] = (potential, committed, needy, ru)
                 include = ru != rv
             else:  # back at level i: undo the branch just finished
                 u, v = edges[i]
-                potential, committed = saved[i]
+                potential, committed, needy, ru = saved[i]
                 if s == _EXCLUDED:
                     avail[u] |= 1 << v
                     avail[v] |= 1 << u
                     i -= 1
                     continue
-                for w in (u, v):
-                    dw = deg[w]
-                    if dw == 2:
-                        needy -= 1
-                    elif dw == 3:
-                        needy += 1
-                    deg[w] = dw - 1
+                deg[u] -= 1
+                deg[v] -= 1
                 included.pop()
-                ru = joined[i]
                 rv = parent[ru]
                 parent[ru] = ru
                 rank[rv] -= rank[ru]
@@ -303,11 +300,8 @@ class _TreeSearch(_Meter):
             feasible = True
             if include:
                 # Include branch: level i comes back to undo it, then excludes.
-                if rank[ru] > rank[rv]:
-                    ru, rv = rv, ru
                 parent[ru] = rv
                 rank[rv] += rank[ru]
-                joined[i] = ru
                 included.append((u, v))
                 for w in (u, v):
                     dw = deg[w] + 1
@@ -343,10 +337,11 @@ class _TreeSearch(_Meter):
                 step[i] = _EXCLUDED
             if feasible and cycle_mode:
                 # The parent node passed the leaf-cycle check on saved[i].
+                pot0, com0, _, _ = saved[i]
                 feasible = (
-                    (potential, committed) == saved[i]
+                    (potential == pot0 and committed == com0)
                     or cycle_feasible(potential, committed)
-                ) and p_degrees_ok(potential, saved[i][0] & ~potential, suspects)
+                ) and p_degrees_ok(potential, pot0 & ~potential, suspects)
             if feasible:
                 i += 1
                 step[i] = _ENTER
@@ -357,14 +352,9 @@ class _TreeSearch(_Meter):
     def leaf_cycles(self) -> Iterator[tuple[int, ...]]:
         """Hamiltonian cycles through the leaves of the current HIST, one
         per rotation/reflection class; their nodes count against the budget."""
-        leaves = self.leaf_set()
-        masks = self.g._masks
-        adj = [
-            sum(1 << j for j, w in enumerate(leaves) if masks[v] >> w & 1)
-            for v in leaves
-        ]
-        for walk in _ham_walks(adj, 0, None, self.tick):
-            yield tuple(leaves[j] for j in walk)
+        leaves = sum(1 << w for w in self.leaf_set())
+        start = (leaves & -leaves).bit_length() - 1
+        return _ham_walks(self.g._masks, leaves, start, None, self.tick)
 
 
 def _tree_neighbour(included: list[tuple[int, int]], w: int) -> int:
@@ -377,18 +367,19 @@ def _tree_neighbour(included: list[tuple[int, int]], w: int) -> int:
 
 def _ham_walks(
     adj: Sequence[int],
+    within: int,
     start: int,
     end: int | None,
     tick: Callable[[], None],
 ) -> Iterator[tuple[int, ...]]:
-    """Hamiltonian walks of the graph with bitmask adjacency `adj`.
+    """Hamiltonian walks of the subgraph that bitmask adjacency `adj`
+    induces on the vertex mask `within`.
 
     With an `end`, yields every Hamiltonian start-end path; without one,
     every Hamiltonian cycle through `start`, once per reflection (second
     vertex smaller than the last).  Walks come in DFS order, smaller
     neighbor first; `tick` runs once per search node.
     """
-    full = (1 << len(adj)) - 1
     endbit = 1 << (start if end is None else end)
     path: list[int] = []
     children: list[int] = []  # per path position: neighbors still to try
@@ -399,14 +390,14 @@ def _ham_walks(
         used |= 1 << cur
         tick()
         todo = 0
-        if used == full:
+        if used == within:
             # A path enters `end` only as its last vertex, so it ends there.
             if end is not None or (adj[cur] & endbit and path[1] < path[-1]):
                 yield tuple(path)
         else:
             # Any unreached vertex that cannot be entered and left kills
             # this branch; so does a disconnection of the unreached region.
-            free = ~used & full
+            free = ~used & within
             usable = free | (1 << cur) | endbit
             todo = adj[cur] & free
             rest = free
@@ -419,7 +410,7 @@ def _ham_walks(
                 rest ^= low
             if todo and free & ~_reach(adj, cur, free | 1 << cur):
                 todo = 0
-            if used | endbit != full:
+            if used | endbit != within:
                 todo &= ~endbit
         children.append(todo)
         while not children[-1]:
@@ -487,7 +478,7 @@ def ham_path_oracle(
         raise PreconditionError("endpoints must differ")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise PreconditionError("endpoint out of range")
-    return next(_ham_walks(g._masks, x, y, _Meter(budget).tick), None)
+    return next(_ham_walks(g._masks, (1 << g.n) - 1, x, y, _Meter(budget).tick), None)
 
 
 def balanced_leaf_hist_exists(

@@ -104,6 +104,37 @@ def test_threshold_experiment_parallel_matches_sequential():
     assert strip(seq) == strip(par)
 
 
+def test_threshold_experiment_starts_no_more_workers_than_trials(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        # Records the worker count it is asked for and maps in-process, so
+        # a large thread count starts no process at all.
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    budget = SearchBudget(node_limit=200_000, mode="first")
+    strip = lambda r: [(t.index, t.seed_hash, t.outcome, t.certificate_digest) for t in r.trials]
+    serial = strip(threshold_experiment(9, 0.85, 4, 21, budget))
+    for threads, trials, workers in ((5000, 4, [4]), (3, 4, [3]), (5000, 1, []), (8, 0, [])):
+        started.clear()
+        report = threshold_experiment(9, 0.85, trials, 21, budget, threads)
+        assert started == workers
+        assert strip(report) == serial[:trials]
+
+
 def test_threshold_experiment_empty():
     for threads in (1, 2):
         report = threshold_experiment(10, 0.8, 0, 1, SearchBudget(node_limit=10), threads)

@@ -138,6 +138,12 @@ def test_verify_walk_rejects_closed_walks_below_three_vertices():
     assert verify_walk(Graph.complete(3), (0, 1, 2), closed=True)
 
 
+def test_verify_walk_rejects_endpoints_on_an_empty_walk():
+    # K_0's empty walk spans it, but has no ends to compare.
+    assert verify_walk(Graph.empty(0), (), closed=False)
+    assert not verify_walk(Graph.empty(0), (), closed=False, endpoints=(0, 1))
+
+
 def test_moon_moser_examples():
     k33 = Graph.complete_bipartite(3, 3)
     c = moon_moser_cycle(k33, bipartition(k33))

@@ -147,6 +147,14 @@ def test_edge_list_rejects_duplicates_with_line():
         parse_edge_list("3 1\n0 5")
     with pytest.raises(ParseError):
         parse_edge_list("")
+    # Offsets are physical lines: the blank line 2 still counts.
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("3 2\n\n0 1\n1 1\n")
+    assert err.value.offset == 4
+    # A negative vertex count is a malformed header, not a bad graph.
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("-3 0")
+    assert err.value.offset == 1
 
 
 def test_normalize_cycle():

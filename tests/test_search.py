@@ -21,6 +21,7 @@ from halinlab.search import (
     UNBOUNDED,
     SearchBudget,
     _TreeSearch,
+    _ham_walks,
     balanced_leaf_hist_exists,
     find_hist,
     find_sghg,
@@ -207,6 +208,45 @@ def test_ham_path_oracle_against_permutations():
             assert all(g.has_edge(a, b) for a, b in zip(ours, ours[1:]))
 
 
+@st.composite
+def masked_walks(draw):
+    """A host on 2 to 9 vertices, a proper nonempty vertex subset, a start
+    in it and, when the subset allows, either no end or an end in it."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [p for p, k in zip(pairs, keep) if k])
+    within = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    start = draw(st.sampled_from(within))
+    ends = [v for v in within if v != start]
+    end = draw(st.one_of(st.none(), st.sampled_from(ends))) if ends else None
+    return g, within, start, end
+
+
+def _counted_walks(adj, within, start, end):
+    ticks = []
+    walks = list(_ham_walks(adj, within, start, end, lambda: ticks.append(None)))
+    return walks, len(ticks)
+
+
+@given(masked_walks())
+@settings(max_examples=300, deadline=None)
+def test_ham_walks_on_a_mask_match_the_induced_subgraph(case):
+    # The reference re-numbers the subset into its own graph and maps each
+    # walk back.  The re-numbering is monotone, so the start, the
+    # smaller-neighbour-first order and the reflection rule all agree.
+    g, within, start, end = case
+    sub, ids = g.induced_subgraph(within)
+    local = {v: i for i, v in enumerate(ids)}
+    ref, ref_ticks = _counted_walks(
+        sub._masks, (1 << sub.n) - 1, local[start], None if end is None else local[end]
+    )
+    mask = sum(1 << v for v in within)
+    walks, ticks = _counted_walks(g._masks, mask, start, end)
+    assert walks == [tuple(ids[j] for j in w) for w in ref], g.edges()
+    assert ticks == ref_ticks
+
+
 def test_balanced_leaf_hist_examples():
     k34 = Graph.complete_bipartite(3, 4)
     assert balanced_leaf_hist_exists(k34, bipartition(k34)) is False
@@ -269,6 +309,14 @@ def test_find_hist_matches_tree_enumeration_oracle(g):
         assert tuple(sorted(got.certificate.edges)) == min(expected)
     else:
         assert got.status == "none"
+    # Each level's undo restores what it changed: a finished traversal
+    # leaves no tree degree and every host edge available.
+    for cycle_mode in (False, True):
+        search = _TreeSearch(g, cycle_mode, EXHAUSTIVE)
+        for _ in search.hists():
+            pass
+        assert search.deg == [0] * g.n
+        assert search.avail == list(g._masks)
 
 
 @given(sghg_hosts())
