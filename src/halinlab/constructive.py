@@ -36,8 +36,14 @@ class DenseHistParams:
     alpha_prime: float
     root: int
 
-    def min_degree_floor(self, n: int) -> int:
-        return math.ceil((2 / 3 - self.alpha_prime) * n)
+
+def _check_dense_host(h: Graph, alpha_prime: float) -> None:
+    """alpha' in (0, 0.5), and min degree at least ceil((2/3 - alpha') n)."""
+    if not 0 < alpha_prime < 0.5:  # NaN fails it too
+        raise PreconditionError("alpha_prime must be in (0, 0.5)")
+    delta, floor = h.min_degree(), math.ceil((2 / 3 - alpha_prime) * h.n)
+    if delta < floor:
+        raise PreconditionError(f"host min degree {delta} below required {floor}")
 
 
 def absorb_pair(
@@ -45,28 +51,28 @@ def absorb_pair(
 ) -> tuple[int, int, int]:
     """Two outside vertices with a common neighbor inside v1.
 
-    Preconditions: min degree of h at least (2/3 - a')n, |v1| at least
-    (2/3 - a')n - 1 with |v1| = n (mod 2), and the outside even and
-    nonempty.  Returns the lexicographically first valid (u, w, anchor).
+    Preconditions: those of _check_dense_host, v1 a set of host vertices,
+    |v1| at least (2/3 - a')n - 1 with |v1| = n (mod 2), and the outside
+    even and nonempty.  Returns the lexicographically first (u, w, anchor).
     """
     n = h.n
     v1 = frozenset(v1)
-    if not 0 < alpha_prime < 0.5:
-        raise PreconditionError("alpha_prime must be in (0, 0.5)")
-    if h.min_degree() < math.ceil((2 / 3 - alpha_prime) * n):
-        raise PreconditionError("host min degree below the required floor")
+    _check_dense_host(h, alpha_prime)
+    if any(not 0 <= v < n for v in v1):
+        raise PreconditionError("inside set must hold vertices of the host")
     if len(v1) < (2 / 3 - alpha_prime) * n - 1:
         raise PreconditionError("inside set too small")
     if len(v1) % 2 != n % 2:
         raise PreconditionError("inside set has the wrong parity")
-    v0 = sorted(set(range(n)) - v1)
+    inside = sum(1 << v for v in v1)
+    v0 = [v for v in range(n) if not inside >> v & 1]
     if not v0 or len(v0) % 2 != 0:
         raise PreconditionError("outside set must be nonempty and even")
     for i, u in enumerate(v0):
         for w in v0[i + 1 :]:
-            common = h.neighbors(u) & h.neighbors(w) & v1
+            common = h.neighbor_mask(u) & h.neighbor_mask(w) & inside
             if common:
-                return (u, w, min(common))
+                return (u, w, (common & -common).bit_length() - 1)
     if 8 * alpha_prime + 6 / n < 1 / 3:
         raise FalsificationError(
             "no absorbable pair despite the guaranteed regime",
@@ -88,13 +94,7 @@ def dense_hist(h: Graph, params: DenseHistParams) -> TreeCertificate:
     root = params.root
     if not 0 <= root < n:
         raise PreconditionError("root out of range")
-    if not 0 < params.alpha_prime < 0.5:  # NaN fails it too
-        raise PreconditionError("alpha_prime must be in (0, 0.5)")
-    floor = params.min_degree_floor(n)
-    if h.min_degree() < floor:
-        raise PreconditionError(
-            f"host min degree {h.min_degree()} below required {floor}"
-        )
+    _check_dense_host(h, params.alpha_prime)
     neighbors = sorted(h.neighbors(root))
     if n % 2 != (len(neighbors) + 1) % 2:
         neighbors = neighbors[:-1]  # drop the largest id to fix parity
@@ -236,13 +236,8 @@ class TripartiteHistPlan:
 def tripartite_host(a_size: int, b_size: int, f_size: int) -> Graph:
     """Complete between A and B and between B and F; empty between A and F."""
     n = a_size + b_size + f_size
-    edges = [(i, a_size + j) for i in range(a_size) for j in range(b_size)]
-    edges.extend(
-        (a_size + j, a_size + b_size + k)
-        for j in range(b_size)
-        for k in range(f_size)
-    )
-    return Graph(n, edges)
+    b_ids = range(a_size, a_size + b_size)
+    return Graph(n, ((u, v) for v in b_ids for u in range(n) if u not in b_ids))
 
 
 def tripartite_plan_error(
@@ -386,35 +381,34 @@ def star_pack(
         raise PreconditionError("centers and tips must be vertices of the host")
     if arity < 1:
         raise PreconditionError("arity must be positive")
+    pool = sum(1 << t for t in tip_pool)
     tip_of: dict[int, int] = {}  # tip -> center currently using it
 
     def augment(root: int) -> bool:
         """One augmenting path from root, depth first on an explicit stack.
 
-        Each frame is [center, its sorted tips, the tip being tried];
-        a tip is tried at most once per path search, and a taken tip
+        Each frame is [center, the tip being tried].  `banned` holds every
+        tip tried so far in this path search, so a frame's next tip is the
+        lowest pool neighbour of its center outside `banned`; a taken tip
         reroutes through its owner's frame.
         """
-
-        def frame(c: int) -> list:
-            return [c, iter(sorted(g.neighbors(c) & tip_pool)), None]
-
-        banned: set[int] = set()
-        stack = [frame(root)]
+        banned = 0
+        stack = [[root, None]]
         while stack:
             top = stack[-1]
-            t = next((t for t in top[1] if t not in banned), None)
-            if t is None:
+            untried = g.neighbor_mask(top[0]) & pool & ~banned
+            if not untried:
                 stack.pop()
                 continue
-            banned.add(t)
-            top[2] = t
+            low = untried & -untried
+            banned |= low
+            t = top[1] = low.bit_length() - 1
             owner = tip_of.get(t)
             if owner is not None:
-                stack.append(frame(owner))
+                stack.append([owner, None])
                 continue
             # A free tip: every frame takes the tip it tried.
-            for c, _, t in stack:
+            for c, t in stack:
                 tip_of[t] = c
             return True
         return False

@@ -80,13 +80,15 @@ class Graph:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self._masks[u] >> v & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self._masks[v]))
+        return frozenset(_bits(self.neighbor_mask(v)))
 
     def neighbor_mask(self, v: int) -> int:
+        if not 0 <= v < self.n:  # a negative v would index from the end
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
         return self._masks[v]
 
     def degree(self, v: int) -> int:
-        return self._masks[v].bit_count()
+        return self.neighbor_mask(v).bit_count()
 
     def min_degree(self) -> int:
         return min((m.bit_count() for m in self._masks), default=0)

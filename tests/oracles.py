@@ -3,7 +3,7 @@
 Everything here is deliberately naive: spanning trees by plain
 include/exclude enumeration, Hamiltonian cycles by permutations,
 connectivity by exhaustive vertex-cut enumeration with networkx deciding
-each remainder, maximum matchings via networkx.  None of it shares
+each remainder, maximum matchings and star-pack existence via networkx.  None of it shares
 pruning logic with the library's solvers.
 """
 
@@ -158,6 +158,21 @@ def to_networkx(g: Graph) -> nx.Graph:
 
 def max_matching_size(g: Graph) -> int:
     return len(nx.max_weight_matching(to_networkx(g), maxcardinality=True))
+
+
+def star_pack_exists(g: Graph, centers, tips, arity: int) -> bool:
+    """Max flow source -> center (capacity arity) -> tip (1, host edges
+    only) -> sink (1): a pack exists iff the flow saturates every center."""
+    net = nx.DiGraph()
+    net.add_nodes_from(["source", "sink"])
+    for c in centers:
+        net.add_edge("source", ("center", c), capacity=arity)
+        for t in tips:
+            if g.has_edge(c, t):
+                net.add_edge(("center", c), ("tip", t), capacity=1)
+    for t in tips:
+        net.add_edge(("tip", t), "sink", capacity=1)
+    return nx.maximum_flow_value(net, "source", "sink") == arity * len(centers)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

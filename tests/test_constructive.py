@@ -26,6 +26,7 @@ from oracles import (
     random_graph,
     random_graph_min_degree,
     set_greedy_matching,
+    star_pack_exists,
 )
 
 
@@ -76,13 +77,38 @@ def test_dense_hist_rejects_alpha_outside_the_range(alpha):
         dense_hist(Graph.complete(8), DenseHistParams(alpha, 0))
 
 
+def first_absorbable_pair(g, inside):
+    """(u, w, anchor) by a plain scan: outside pairs in lexicographic
+    order, each with its smallest common inside neighbour."""
+    outside = [v for v in range(g.n) if v not in inside]
+    for i, u in enumerate(outside):
+        for w in outside[i + 1 :]:
+            for c in sorted(inside):
+                if g.has_edge(u, c) and g.has_edge(w, c):
+                    return (u, w, c)
+    return None
+
+
 def test_absorb_pair_examples():
     g = Graph.complete(6)
     assert absorb_pair(g, {0, 1, 2, 3}, 0.009) == (4, 5, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^host min degree 2 below required 4$"):
         absorb_pair(Graph.cycle(6), {0, 1, 2, 3}, 0.009)  # degree proviso
     with pytest.raises(PreconditionError):
         absorb_pair(g, {0, 1, 2}, 0.009)  # parity
+    # Ids outside the host are rejected, not counted toward the size and
+    # parity of the inside set: {0, 1} alone is below the size floor.
+    for v1 in ({0, 1, 99, 100}, {-2, -1, 0, 1, 2, 3}):
+        with pytest.raises(PreconditionError, match="vertices of the host"):
+            absorb_pair(g, v1, 0.1)
+    # Inside {0, 1, 2, 3} is a 4-cycle; 4 sees {0, 1}, 5 sees {2, 3},
+    # 6 sees {1, 2} and 7 sees only outside vertices.  Every degree is
+    # at least ceil((2/3 - 0.3) * 8) = 3, and (4, 5) share no inside
+    # neighbour, so the first absorbable pair is (4, 6) through 1.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 5), (3, 5)]
+    edges += [(1, 6), (2, 6), (4, 7), (5, 7), (6, 7)]
+    h, inside = Graph(8, edges), {0, 1, 2, 3}
+    assert absorb_pair(h, inside, 0.3) == first_absorbable_pair(h, inside) == (4, 6, 1)
 
 
 def test_absorb_pair_random_within_provisos():
@@ -99,6 +125,7 @@ def test_absorb_pair_random_within_provisos():
         u, w, c = absorb_pair(g, inside, alpha)
         assert u not in inside and w not in inside and c in inside
         assert g.has_edge(u, c) and g.has_edge(w, c)
+        assert (u, w, c) == first_absorbable_pair(g, inside)
 
 
 # -- balanced bipartite builder ------------------------------------------------
@@ -269,6 +296,22 @@ def test_star_pack_long_augmenting_chain():
     centers, tips = set(range(k)), set(range(k, 2 * k))
     pack = star_pack(g, centers, tips, 1)
     assert pack is not None and verify_star_pack(g, pack, centers)
+
+
+def test_star_pack_is_none_exactly_when_no_flow_saturates_the_centers():
+    rng = random.Random(36)
+    for _ in range(400):
+        n = rng.randrange(3, 15)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        order = rng.sample(range(n), n)
+        split = rng.randrange(1, n)
+        centers = set(order[: rng.randrange(1, split + 1)])
+        tips = set(order[split:])
+        arity = rng.randrange(1, 4)
+        pack = star_pack(g, centers, tips, arity)
+        assert (pack is not None) == star_pack_exists(g, centers, tips, arity)
+        if pack is not None:
+            assert verify_star_pack(g, pack, centers)
 
 
 def test_star_pack_rejects_ids_outside_the_host():

@@ -108,6 +108,16 @@ def test_basic_queries():
     assert g.has_edge(4, 1)
 
 
+@pytest.mark.parametrize("v", [-1, -5, 5, 99])
+@pytest.mark.parametrize("query", ["degree", "neighbors", "neighbor_mask"])
+def test_vertex_queries_reject_ids_outside_the_host(query, v):
+    # A negative id would otherwise index from the end: degree(-1) was
+    # the degree of vertex 4.
+    g = Graph.complete_bipartite(2, 3)
+    with pytest.raises(IndexError, match=rf"^vertex {v} out of range for n=5$"):
+        getattr(g, query)(v)
+
+
 def test_induced_subgraph_relabels():
     g = Graph.cycle(5)
     sub, mapping = g.induced_subgraph([1, 2, 4])
