@@ -68,15 +68,28 @@ def absorb_pair(
     v0 = [v for v in range(n) if not inside >> v & 1]
     if not v0 or len(v0) % 2 != 0:
         raise PreconditionError("outside set must be nonempty and even")
-    for i, u in enumerate(v0):
-        for w in v0[i + 1 :]:
-            common = h.neighbor_mask(u) & h.neighbor_mask(w) & inside
+    return _first_absorbable_pair(h, inside, v0, alpha_prime)
+
+
+def _first_absorbable_pair(
+    h: Graph, inside: int, outside: list[int], alpha_prime: float
+) -> tuple[int, int, int]:
+    """absorb_pair's scan, on an inside mask and its sorted complement."""
+    for i, u in enumerate(outside):
+        reach = h.neighbor_mask(u) & inside
+        for w in outside[i + 1 :]:
+            common = reach & h.neighbor_mask(w)
             if common:
                 return (u, w, (common & -common).bit_length() - 1)
+    n = h.n
     if 8 * alpha_prime + 6 / n < 1 / 3:
         raise FalsificationError(
             "no absorbable pair despite the guaranteed regime",
-            {"n": n, "alpha_prime": alpha_prime, "v1": sorted(v1)},
+            {
+                "n": n,
+                "alpha_prime": alpha_prime,
+                "v1": [v for v in range(n) if inside >> v & 1],
+            },
         )
     raise PreconditionError(
         "no absorbable pair; instance is outside the guaranteed regime"
@@ -101,11 +114,18 @@ def dense_hist(h: Graph, params: DenseHistParams) -> TreeCertificate:
     if len(neighbors) < 3:
         raise PreconditionError("root degree too small for a star center")
     edges: list[Edge] = [(root, w) for w in neighbors]
-    inside = {root, *neighbors}
-    while len(inside) < n:
-        u, w, anchor = absorb_pair(h, inside, params.alpha_prime)
+    # The star meets absorb_pair's size and parity preconditions, and each
+    # absorption keeps them, so the scan runs without re-checking; it
+    # restarts from the first outside pair, which the grown inside set may
+    # have made absorbable.
+    inside = 1 << root | sum(1 << w for w in neighbors)
+    outside = [v for v in range(n) if not inside >> v & 1]
+    while outside:
+        u, w, anchor = _first_absorbable_pair(h, inside, outside, params.alpha_prime)
         edges += [(anchor, u), (anchor, w)]
-        inside |= {u, w}
+        inside |= 1 << u | 1 << w
+        outside.remove(u)
+        outside.remove(w)
     tree = TreeCertificate(n, edges)
     root_deg = tree.degree(root)
     if root_deg < (2 / 3 - params.alpha_prime) * n - 1:

@@ -128,10 +128,19 @@ def random_three_connected(n: int, min_degree: int, rng: random.Random) -> Graph
                 if draw() < p:
                     row |= 1 << v
                     masks[v] |= bit
-            masks[u] |= row
-        g = Graph._from_masks(masks)
-        if g.min_degree() >= min_degree and vertex_connectivity_at_least(g, 3):
-            return g
+            row |= masks[u]
+            masks[u] = row
+            if row.bit_count() < min_degree:
+                # Row u fixes u's degree, and it is below the floor: use up
+                # the attempt's other draws untested, so the next attempt
+                # reads the stream it always did.
+                for _ in range((n - 1 - u) * (n - 2 - u) // 2):
+                    draw()
+                break
+        else:
+            g = Graph._from_masks(masks)
+            if vertex_connectivity_at_least(g, 3):
+                return g
     return None
 
 

@@ -44,6 +44,30 @@ Each rule cuts only subtrees that hold no SGHG, so every certificate and
 every exhaustive count is the same as without them.  HIST search tracks
 no leaves.
 
+Both searches also decide an edge as soon as it is forced, by unit
+propagation as in DPLL.  A spanning HIST has no vertex of tree degree 2
+and none of degree 0, so after each include or exclude step that passed
+its own checks:
+
+- a vertex at tree degree 2 with exactly three edges in `avail` takes
+  the third;
+- a vertex at tree degree 0 with one edge in `avail` takes that edge.
+
+Each forced edge is included like a branch's own, and may force more,
+up to a fixpoint.  A forced edge that would close a cycle, or a vertex
+it freezes at tree degree 2, cuts the node; the leaf-cycle and P-degree
+checks then run on the new state.  A trail holds what `saved[i]` does
+not restore: the included stack, the union-find root each included edge
+linked and, through the stack, the tree degrees and tree-neighbour masks.
+The level that pushed an entry pops it when it is left.  A later level
+whose edge is already forced takes its one branch without counting a
+node.  The exclude branch of a forced edge holds no HIST, so deciding
+the edge early cuts only dead subtrees: HISTs, and so certificates,
+counts and the order solutions come in, are the same as without it.
+A HIST that forcing completes early skips the exclusions that would have
+committed its leaves, so SGHG search runs the leaf-cycle check on its
+leaves, all committed, before it walks them.
+
 Two checks are skipped where they can only pass.  An exclusion of an
 edge whose ends the included edges already join (one with no include
 branch) runs no connectivity search: those edges stay in `avail`, so it
@@ -132,8 +156,9 @@ class SearchResult:
         return self.status == "found"
 
 
-# Steps of one level of the tree search's explicit stack.
-_ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
+# Steps of one level of the tree search's explicit stack; a level whose
+# edge an earlier level forced is _FORCED.
+_ENTER, _INCLUDED, _EXCLUDED, _FORCED = 0, 1, 2, 3
 
 
 class _Meter:
@@ -158,6 +183,10 @@ class _Meter:
 class _TreeSearch(_Meter):
     """Edge include/exclude DFS enumerating spanning HISTs of g."""
 
+    # Forced-edge propagation is always on; tests switch it off to check
+    # that it cuts only dead branches.
+    _forcing = True
+
     def __init__(self, g: Graph, cycle_mode: bool, budget: SearchBudget):
         super().__init__(budget)
         self.g = g
@@ -167,6 +196,7 @@ class _TreeSearch(_Meter):
         self.cycle_mode = cycle_mode
         n = g.n
         self.deg = [0] * n
+        self.tree = [0] * n  # tree-neighbour masks
         self.avail = [g.neighbor_mask(v) for v in range(n)]
         self.full = (1 << n) - 1
         # A vertex with deg <= 1 and |avail| (tree plus undecided edges)
@@ -237,9 +267,10 @@ class _TreeSearch(_Meter):
         # An SGHG has at least 4 vertices.
         if self.n < (4 if cycle_mode else 1) or m < n1 or not self._connected_avail():
             return
-        edges, deg, avail = self.edges, self.deg, self.avail
+        edges, deg, avail, tree = self.edges, self.deg, self.avail, self.tree
         tick, room, p_degrees_ok = self.tick, self.room, self._p_degrees_ok
         connected, cycle_feasible = self._connected_avail, self._cycle_feasible
+        forcing = self._forcing
         # At the root P is the host, so every vertex is checked once; after
         # this pass no vertex has host degree <= room, so none starts
         # committed.
@@ -247,20 +278,32 @@ class _TreeSearch(_Meter):
             return
         parent = list(range(self.n))
         rank = [1] * self.n
+        # The trail: the included edges, own and forced, and for each the
+        # union-find root it linked.
         included: list[tuple[int, int]] = []
+        links: list[int] = []
         needy = 0  # vertices currently at tree-degree exactly 2
         # potential: vertices that may still end as leaves (deg <= 1 and,
         # in SGHG search, not the tree neighbour of a committed leaf);
         # committed: vertices that must end as leaves.
         potential, committed = self.full, 0
-        # Level i decides edge i; `saved` holds the leaf masks and `needy` to
-        # restore when it is left, and the root its include branch attaches.
+        # Level i decides edge i; `saved` holds the leaf masks, `needy` and
+        # the trail length to restore when it is left.
         step = [_ENTER] * (m + 1)
         saved = [(0, 0, 0, 0)] * m
         i = 0
         while i >= 0:
             s = step[i]
             if s == _ENTER:
+                if i < m:
+                    u, v = edges[i]
+                    if tree[u] >> v & 1:
+                        # Forced by an earlier level, which undoes it: one
+                        # branch, and no search node.
+                        step[i] = _FORCED
+                        i += 1
+                        step[i] = _ENTER
+                        continue
                 tick()
                 missing = n1 - len(included)
                 if missing == 0:
@@ -271,52 +314,46 @@ class _TreeSearch(_Meter):
                 if m - i < missing or needy > 2 * missing:
                     i -= 1
                     continue
-                u, v = edges[i]
                 ru = u
                 while parent[ru] != ru:
                     ru = parent[ru]
                 rv = v
                 while parent[rv] != rv:
                     rv = parent[rv]
-                if rank[ru] > rank[rv]:
-                    ru, rv = rv, ru
-                saved[i] = (potential, committed, needy, ru)
+                saved[i] = (potential, committed, needy, len(included))
                 include = ru != rv
+            elif s == _FORCED:
+                i -= 1
+                continue
             else:  # back at level i: undo the branch just finished
+                potential, committed, needy, mark = saved[i]
+                while len(included) > mark:
+                    a, b = included.pop()
+                    deg[a] -= 1
+                    deg[b] -= 1
+                    tree[a] ^= 1 << b
+                    tree[b] ^= 1 << a
+                    r = links.pop()
+                    q = parent[r]
+                    parent[r] = r
+                    rank[q] -= rank[r]
                 u, v = edges[i]
-                potential, committed, needy, ru = saved[i]
                 if s == _EXCLUDED:
                     avail[u] |= 1 << v
                     avail[v] |= 1 << u
                     i -= 1
                     continue
-                deg[u] -= 1
-                deg[v] -= 1
-                included.pop()
-                rv = parent[ru]
-                parent[ru] = ru
-                rank[rv] -= rank[ru]
                 include = False
             feasible = True
+            force = 0  # vertices with exactly one undecided edge they need
             if include:
                 # Include branch: level i comes back to undo it, then excludes.
+                if rank[ru] > rank[rv]:
+                    ru, rv = rv, ru
                 parent[ru] = rv
                 rank[rv] += rank[ru]
-                included.append((u, v))
-                for w in (u, v):
-                    dw = deg[w] + 1
-                    deg[w] = dw
-                    if dw == 2:
-                        needy += 1
-                        potential &= ~(1 << w)
-                        if avail[w].bit_count() == 2:
-                            feasible = False
-                    elif dw == 3:
-                        needy -= 1
-                    elif dw == 1 and avail[w].bit_count() <= room:
-                        # w is committed (|avail| did not change); its tree
-                        # neighbour is internal.
-                        potential &= ~(1 << (u ^ v ^ w))
+                links.append(ru)
+                a, b = u, v
                 suspects = 0
                 step[i] = _INCLUDED
             else:  # exclude branch of edge i
@@ -324,17 +361,69 @@ class _TreeSearch(_Meter):
                 avail[v] &= ~(1 << u)
                 for w in (u, v):
                     dw, aw = deg[w], avail[w].bit_count()
-                    if aw == dw and (dw == 0 or dw == 2):
-                        feasible = False
+                    if aw - dw < 2 and (dw == 0 or dw == 2):
+                        # w needs every edge it has left.
+                        if aw == dw:
+                            feasible = False
+                        else:
+                            force |= 1 << w
                     elif aw == room and dw < 2:
                         committed |= 1 << w
-                        if dw:  # its tree neighbour is internal
-                            potential &= ~(1 << _tree_neighbour(included, w))
+                        # Its tree neighbour, if any, is internal.
+                        potential &= ~tree[w]
                 # A cycle-closing exclusion (entered, not after an include)
                 # keeps u and v joined by included edges, all in avail.
                 feasible = feasible and (s == _ENTER or connected())
+                a = -1
                 suspects = 1 << u | 1 << v
                 step[i] = _EXCLUDED
+            # Join (a, b), then every forced edge, to a fixpoint.
+            while feasible:
+                if a >= 0:
+                    included.append((a, b))
+                    tree[a] |= 1 << b
+                    tree[b] |= 1 << a
+                    for w in (a, b):
+                        dw = deg[w] + 1
+                        deg[w] = dw
+                        if dw == 2:
+                            needy += 1
+                            potential &= ~(1 << w)
+                            aw = avail[w].bit_count()
+                            if aw == 2:
+                                feasible = False
+                            elif aw == 3:
+                                force |= 1 << w
+                        elif dw == 3:
+                            needy -= 1
+                        elif dw == 1 and avail[w].bit_count() <= room:
+                            # w is committed (|avail| did not change); its
+                            # tree neighbour is internal.
+                            potential &= ~(1 << (a ^ b ^ w))
+                if not (feasible and force and forcing):
+                    break
+                low = force & -force
+                force ^= low
+                x = low.bit_length() - 1
+                rest = avail[x] & ~tree[x]
+                a = -1
+                if rest:  # else an include at x already gave it its edge
+                    y = rest.bit_length() - 1
+                    rx = x
+                    while parent[rx] != rx:
+                        rx = parent[rx]
+                    ry = y
+                    while parent[ry] != ry:
+                        ry = parent[ry]
+                    if rx == ry:
+                        feasible = False
+                    else:
+                        if rank[rx] > rank[ry]:
+                            rx, ry = ry, rx
+                        parent[rx] = ry
+                        rank[ry] += rank[rx]
+                        links.append(rx)
+                        a, b = (x, y) if x < y else (y, x)
             if feasible and cycle_mode:
                 # The parent node passed the leaf-cycle check on saved[i].
                 pot0, com0, _, _ = saved[i]
@@ -351,15 +440,14 @@ class _TreeSearch(_Meter):
 
     def leaf_cycles(self) -> Iterator[tuple[int, ...]]:
         """Hamiltonian cycles through the leaves of the current HIST, one
-        per rotation/reflection class; their nodes count against the budget."""
+        per rotation/reflection class; their nodes count against the budget.
+        Every leaf is final, so the walk starts only if the leaves pass the
+        leaf-cycle check with all of them committed."""
         leaves = sum(1 << w for w in self.leaf_set())
+        if not self._cycle_feasible(leaves, leaves):
+            return iter(())
         start = (leaves & -leaves).bit_length() - 1
         return _ham_walks(self.g._masks, leaves, start, None, self.tick)
-
-
-def _tree_neighbour(included: list[tuple[int, int]], w: int) -> int:
-    """The other end of the one included edge at w (tree degree 1)."""
-    return next(a ^ b ^ w for a, b in included if w == a or w == b)
 
 
 # -- Hamiltonian walks -------------------------------------------------------

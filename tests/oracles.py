@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 import networkx as nx
 
-from halinlab.graph import Graph
+from halinlab.graph import Graph, vertex_connectivity_at_least
 
 
 def iter_spanning_trees(g: Graph):
@@ -197,3 +197,20 @@ def random_graph_min_degree(rng: random.Random, n: int, dmin: int, p: float) -> 
     if g.min_degree() < dmin:
         return random_graph_min_degree(rng, n, dmin, min(1.0, p + 0.1))
     return g
+
+
+def full_draw_three_connected(
+    n: int, min_degree: int, rng: random.Random, max_attempts: int
+) -> Graph | None:
+    """The threshold sampler as it was before its early exit: every attempt
+    draws all of its pairs, then tests the floor and 3-connectivity."""
+    if n < 4 or min_degree > n - 1:
+        return None
+    base_p = max(min_degree / (n - 1), 0.3)
+    for attempt in range(max_attempts):
+        p = min(1.0, base_p + (1.0 - base_p) * attempt / max_attempts)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        if g.min_degree() >= min_degree and vertex_connectivity_at_least(g, 3):
+            return g
+    return None

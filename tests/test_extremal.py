@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from halinlab import extremal
 from halinlab.errors import PreconditionError
 from halinlab.extremal import (
     confirm_sharpness,
@@ -12,6 +15,8 @@ from halinlab.extremal import (
 from halinlab.graph import Graph, vertex_connectivity_at_least
 from halinlab.io_formats import emit_certificate
 from halinlab.search import SearchBudget
+
+from oracles import full_draw_three_connected
 
 
 def test_sharpness_instances_small():
@@ -60,6 +65,27 @@ def test_random_three_connected_generator():
     assert g.min_degree() >= 6
     assert vertex_connectivity_at_least(g, 3)
     assert random_three_connected(3, 2, trial_rng(7, 1)) is None
+
+
+def test_random_three_connected_matches_the_full_draw_sampler():
+    # The early exit skips an attempt's remaining draws, so both samplers
+    # return the same host and leave the stream in the same state.  n = 4,
+    # a floor of n - 1 (p = 1.0 from the first attempt) and runs that use
+    # up every attempt (most one- and two-attempt runs) are all covered.
+    outcomes = set()
+    for attempts in (1, 2, 60):
+        with mock.patch.object(extremal, "_MAX_ATTEMPTS", attempts):
+            for n in range(4, 15):
+                for floor in sorted({3, n // 3, n // 2, 2 * n // 3, n - 2, n - 1}):
+                    for index in range(4):
+                        ours_rng, plain_rng = trial_rng(n, index), trial_rng(n, index)
+                        ours = random_three_connected(n, floor, ours_rng)
+                        plain = full_draw_three_connected(n, floor, plain_rng, attempts)
+                        case = (attempts, n, floor, index)
+                        assert ours == plain, case
+                        assert ours_rng.getstate() == plain_rng.getstate(), case
+                        outcomes.add(ours is None)
+    assert outcomes == {True, False}
 
 
 def test_trials_are_deterministic():

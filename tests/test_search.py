@@ -134,21 +134,21 @@ def test_budget_overrun_reports_no_partial_count():
 @pytest.mark.parametrize(
     "solver, g, budget, status, nodes, count",
     [
-        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 4_198, 0),
-        (find_sghg, Graph.complete(6), EXHAUSTIVE, "found", 2_783, 342),
-        (find_hist, Graph.complete(5), EXHAUSTIVE, "found", 131, 5),
+        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 1_962, 0),
+        (find_sghg, Graph.complete(6), EXHAUSTIVE, "found", 2_492, 342),
+        (find_hist, Graph.complete(5), EXHAUSTIVE, "found", 76, 5),
         (find_sghg, Graph.complete(7), UNBOUNDED, "found", 13, None),
-        (find_hist, Graph.complete_bipartite(3, 4), UNBOUNDED, "found", 10, None),
-        (find_sghg, Graph.complete_bipartite(4, 4), EXHAUSTIVE, "found", 1_958, 96),
+        (find_hist, Graph.complete_bipartite(3, 4), UNBOUNDED, "found", 6, None),
+        (find_sghg, Graph.complete_bipartite(4, 4), EXHAUSTIVE, "found", 1_291, 96),
         # K_5 minus the edge 0-4, reduced for the terminals 0 and 4: 17
         # vertices and 32 edges, where the P-degree rule cuts deep.
         (find_sghg, reduce_instance(parse_graph6(b"D~["), 0, 4)[0], UNBOUNDED,
-         "found", 5_091, None),
+         "found", 2_705, None),
         # Sparse cubic and 2-regular hosts, where HIST search lives on the
         # frozen-at-2 and exclusion dead-end rules.
-        (find_hist, PETERSEN, EXHAUSTIVE, "found", 201, 10),
-        (find_hist, CUBE, EXHAUSTIVE, "none", 97, 0),
-        (find_hist, Graph.cycle(8), UNBOUNDED, "none", 6, 0),
+        (find_hist, PETERSEN, EXHAUSTIVE, "found", 104, 10),
+        (find_hist, CUBE, EXHAUSTIVE, "none", 63, 0),
+        (find_hist, Graph.cycle(8), UNBOUNDED, "none", 4, 0),
     ],
     # Fixed ids: a re-pin changes the numbers, never the test names.
     ids=["sghg-K4,5", "sghg-K6-exhaustive", "hist-K5-exhaustive", "sghg-K7", "hist-K3,4",
@@ -316,6 +316,7 @@ def test_find_hist_matches_tree_enumeration_oracle(g):
         for _ in search.hists():
             pass
         assert search.deg == [0] * g.n
+        assert search.tree == [0] * g.n
         assert search.avail == list(g._masks)
 
 
@@ -359,6 +360,58 @@ def test_p_degree_rule_cuts_only_dead_branches(case):
         plain.status, plain.certificate, plain.solution_count
     ), g.edges()
     assert ours.nodes <= plain.nodes
+
+
+def _without_forcing(solver, g, budget):
+    """solver with forced-edge propagation switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "_forcing", False)
+        return solver(g, budget)
+
+
+def _check_forcing(solver, g, budget):
+    ours = solver(g, budget)
+    plain = _without_forcing(solver, g, budget)
+    assert (ours.status, ours.certificate, ours.solution_count) == (
+        plain.status, plain.certificate, plain.solution_count
+    ), g.edges()
+    assert ours.nodes <= plain.nodes, g.edges()
+    if solver is find_hist and budget.exhaustive and g.n <= 7:
+        assert ours.solution_count == len(list(iter_hists(g)))
+
+
+@given(st.tuples(
+    st.sampled_from([find_hist, find_sghg]),
+    st.one_of(sghg_hosts(8, WITH_DENSE), reduced_hosts()),
+    st.sampled_from([UNBOUNDED, EXHAUSTIVE]),
+))
+@settings(max_examples=200, deadline=None)
+def test_forced_edges_cut_only_dead_branches(case):
+    _check_forcing(*case)
+
+
+def test_forced_edges_on_complete_bipartite_hosts():
+    # Forced edges complete many HISTs here before the exclusions that
+    # would commit their leaves, so SGHG search relies on the leaf check
+    # before each walk: without it K_{3,4} took 61 nodes, against 42.
+    for a in range(1, 5):
+        for b in range(a, 7):
+            for solver in (find_hist, find_sghg):
+                for budget in (UNBOUNDED, EXHAUSTIVE):
+                    _check_forcing(solver, Graph.complete_bipartite(a, b), budget)
+
+
+def test_forcing_off_is_the_plain_search():
+    # Node counts pinned before propagation landed still hold with it
+    # switched off: the switch reaches the kernel, and the rest of the
+    # search is as it was.
+    k5e = reduce_instance(parse_graph6(b"D~["), 0, 4)[0]
+    for solver, g, budget, nodes in [
+        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, 4_198),
+        (find_sghg, k5e, UNBOUNDED, 5_091),
+        (find_hist, PETERSEN, EXHAUSTIVE, 201),
+    ]:
+        assert _without_forcing(solver, g, budget).nodes == nodes
 
 
 @given(sghg_hosts(9, WITH_DENSE))
