@@ -149,15 +149,30 @@ def test_budget_overrun_reports_no_partial_count():
         (find_hist, PETERSEN, EXHAUSTIVE, "found", 104, 10),
         (find_hist, CUBE, EXHAUSTIVE, "none", 63, 0),
         (find_hist, Graph.cycle(8), UNBOUNDED, "none", 4, 0),
+        # The HIST walk `balanced_leaf_hist_exists` makes on K_{4,6}.
+        (find_hist, Graph.complete_bipartite(4, 6), EXHAUSTIVE, "found", 36_701, 744),
     ],
     # Fixed ids: a re-pin changes the numbers, never the test names.
     ids=["sghg-K4,5", "sghg-K6-exhaustive", "hist-K5-exhaustive", "sghg-K7", "hist-K3,4",
          "sghg-K4,4-exhaustive", "sghg-reduced-K5-minus-edge", "hist-petersen-exhaustive",
-         "hist-Q3-exhaustive", "hist-C8"],
+         "hist-Q3-exhaustive", "hist-C8", "hist-K4,6-exhaustive"],
 )
 def test_node_counts_are_pinned(solver, g, budget, status, nodes, count):
     r = solver(g, budget)
     assert (r.status, r.nodes, r.solution_count) == (status, nodes, count)
+
+
+def test_reduction_corpus_node_totals_are_pinned():
+    # Every labelled reduction instance on 3 and 4 vertices, every terminal
+    # pair: (instances, found, total nodes).
+    for n, pinned in ((3, (24, 6, 124)), (4, (384, 84, 8_688))):
+        results = [
+            find_sghg(reduce_instance(g, x, y)[0])
+            for g in iter_all_graphs(n)
+            for x, y in combinations(range(n), 2)
+        ]
+        assert (len(results), sum(r.found for r in results),
+                sum(r.nodes for r in results)) == pinned
 
 
 def test_large_inputs_stay_clear_of_the_recursion_limit():
@@ -412,6 +427,30 @@ def test_forcing_off_is_the_plain_search():
         (find_hist, PETERSEN, EXHAUSTIVE, 201),
     ]:
         assert _without_forcing(solver, g, budget).nodes == nodes
+
+
+def _connectivity_searches(solver, g, budget):
+    """How many connectivity searches of `avail` solver runs."""
+    calls = 0
+    search = _TreeSearch._connected_avail
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return search(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "_connected_avail", counted)
+        solver(g, budget)
+    return calls
+
+
+def test_cycle_closing_exclusions_skip_the_connectivity_search():
+    # An exclusion whose ends the included edges already join keeps `avail`
+    # connected, so it runs no search.  Node counts cannot show the skip;
+    # these call counts do.
+    assert _connectivity_searches(find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED) == 1_392
+    assert _connectivity_searches(find_sghg, Graph.complete(6), EXHAUSTIVE) == 382
 
 
 @given(sghg_hosts(9, WITH_DENSE))
