@@ -11,7 +11,7 @@ stay cyclically feasible (two potential-leaf neighbors each, one
 component) at every node.  An SGHG has at least 4 vertices, so SGHG
 search refutes a smaller host, or one with a vertex of degree below 3,
 before its first node.  It adds three leaf rules and a degree rule, all
-kept up incrementally in the include and exclude steps:
+kept up incrementally as edges are decided:
 
 - forced leaf: a vertex with deg <= 1 and |avail| <= 2 (its tree edges
   and undecided edges) can only end as a leaf, so it is committed at once;
@@ -46,25 +46,27 @@ no leaves.
 
 Both searches also decide an edge as soon as it is forced, by unit
 propagation as in DPLL.  A spanning HIST has no vertex of tree degree 2
-and none of degree 0, so after each include or exclude step that passed
-its own checks:
+and none of degree 0, so:
 
 - a vertex at tree degree 2 with exactly three edges in `avail` takes
   the third;
 - a vertex at tree degree 0 with one edge in `avail` takes that edge.
 
-Each forced edge is included like a branch's own, and may force more,
-up to a fixpoint.  A forced edge that would close a cycle, or a vertex
-it freezes at tree degree 2, cuts the node; the leaf-cycle and P-degree
-checks then run on the new state.  A trail holds what `saved[i]` does
-not restore: the included stack, the union-find root each included edge
-linked and, through the stack, the tree degrees and tree-neighbour masks.
-The level that pushed an entry pops it when it is left.  A later level
-whose edge is already forced takes its one branch without counting a
-node.  The exclude branch of a forced edge holds no HIST, so deciding
+Level i decides edge `at[i]`, the lowest edge above its parent level's
+that no earlier level forced in.  One step applies an edge (the level's
+own include or exclude, or a forced include) and runs the same rules on
+each end at tree degree <= 2: the two degree rules, which cut the node
+when a vertex has fewer edges left than it needs, the forced leaf and
+leaf adjacency.  It repeats on each forced edge, up to a fixpoint; a
+forced edge that would close a cycle cuts the node, and the leaf-cycle
+and P-degree checks then run on the new state.  A trail holds what
+`saved[i]` does not restore: the included stack, the union-find root
+each included edge linked and, through the stack, the tree degrees and
+tree-neighbour masks.  The level that pushed an entry pops it when it is
+left.  The exclude branch of a forced edge holds no HIST, so deciding
 the edge early cuts only dead subtrees: HISTs, and so certificates,
-counts and the order solutions come in, are the same as without it.
-A HIST that forcing completes early skips the exclusions that would have
+counts and the order solutions come in, are the same as without it.  A
+HIST that forcing completes early skips the exclusions that would have
 committed its leaves, so SGHG search runs the leaf-cycle check on its
 leaves, all committed, before it walks them.
 
@@ -156,9 +158,9 @@ class SearchResult:
         return self.status == "found"
 
 
-# Steps of one level of the tree search's explicit stack; a level whose
-# edge an earlier level forced is _FORCED.
-_ENTER, _INCLUDED, _EXCLUDED, _FORCED = 0, 1, 2, 3
+# Steps of one level of the tree search's explicit stack: the level is
+# entered, or comes back after its include or its exclude branch.
+_ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 class _Meter:
@@ -287,23 +289,16 @@ class _TreeSearch(_Meter):
         # in SGHG search, not the tree neighbour of a committed leaf);
         # committed: vertices that must end as leaves.
         potential, committed = self.full, 0
-        # Level i decides edge i; `saved` holds the leaf masks, `needy` and
-        # the trail length to restore when it is left.
+        # Level i decides edge at[i], the lowest edge above the parent
+        # level's that no earlier level forced in; `saved` holds the leaf
+        # masks, `needy` and the trail length to restore when it is left.
         step = [_ENTER] * (m + 1)
+        at = [0] * m
         saved = [(0, 0, 0, 0)] * m
         i = 0
         while i >= 0:
             s = step[i]
             if s == _ENTER:
-                if i < m:
-                    u, v = edges[i]
-                    if tree[u] >> v & 1:
-                        # Forced by an earlier level, which undoes it: one
-                        # branch, and no search node.
-                        step[i] = _FORCED
-                        i += 1
-                        step[i] = _ENTER
-                        continue
                 tick()
                 missing = n1 - len(included)
                 if missing == 0:
@@ -311,9 +306,18 @@ class _TreeSearch(_Meter):
                         yield included
                     i -= 1
                     continue
-                if m - i < missing or needy > 2 * missing:
+                if needy > 2 * missing:
                     i -= 1
                     continue
+                # `avail` stays connected, so once no edge is undecided the
+                # included edges span the host: an edge is still missing,
+                # so this scan stops before m.
+                e = at[i - 1] + 1 if i else 0
+                u, v = edges[e]
+                while tree[u] >> v & 1:
+                    e += 1
+                    u, v = edges[e]
+                at[i] = e
                 ru = u
                 while parent[ru] != ru:
                     ru = parent[ru]
@@ -322,9 +326,6 @@ class _TreeSearch(_Meter):
                     rv = parent[rv]
                 saved[i] = (potential, committed, needy, len(included))
                 include = ru != rv
-            elif s == _FORCED:
-                i -= 1
-                continue
             else:  # back at level i: undo the branch just finished
                 potential, committed, needy, mark = saved[i]
                 while len(included) > mark:
@@ -337,93 +338,88 @@ class _TreeSearch(_Meter):
                     q = parent[r]
                     parent[r] = r
                     rank[q] -= rank[r]
-                u, v = edges[i]
+                u, v = edges[at[i]]
                 if s == _EXCLUDED:
                     avail[u] |= 1 << v
                     avail[v] |= 1 << u
                     i -= 1
                     continue
                 include = False
+            # Include first: level i comes back to undo it, then excludes.
+            step[i] = _INCLUDED if include else _EXCLUDED
+            suspects = 0 if include else 1 << u | 1 << v
             feasible = True
             force = 0  # vertices with exactly one undecided edge they need
-            if include:
-                # Include branch: level i comes back to undo it, then excludes.
-                if rank[ru] > rank[rv]:
-                    ru, rv = rv, ru
-                parent[ru] = rv
-                rank[rv] += rank[ru]
-                links.append(ru)
-                a, b = u, v
-                suspects = 0
-                step[i] = _INCLUDED
-            else:  # exclude branch of edge i
-                avail[u] &= ~(1 << v)
-                avail[v] &= ~(1 << u)
-                for w in (u, v):
-                    dw, aw = deg[w], avail[w].bit_count()
-                    if aw - dw < 2 and (dw == 0 or dw == 2):
-                        # w needs every edge it has left.
-                        if aw == dw:
-                            feasible = False
-                        else:
-                            force |= 1 << w
-                    elif aw == room and dw < 2:
-                        committed |= 1 << w
-                        # Its tree neighbour, if any, is internal.
-                        potential &= ~tree[w]
-                # A cycle-closing exclusion (entered, not after an include)
-                # keeps u and v joined by included edges, all in avail.
-                feasible = feasible and (s == _ENTER or connected())
-                a = -1
-                suspects = 1 << u | 1 << v
-                step[i] = _EXCLUDED
-            # Join (a, b), then every forced edge, to a fixpoint.
-            while feasible:
-                if a >= 0:
+            a, b = u, v
+            # Decide (a, b): the level's own edge, then each forced include,
+            # to a fixpoint.  An include links the roots ru and rv.
+            while True:
+                if include:
+                    if rank[ru] > rank[rv]:
+                        ru, rv = rv, ru
+                    parent[ru] = rv
+                    rank[rv] += rank[ru]
+                    links.append(ru)
                     included.append((a, b))
                     tree[a] |= 1 << b
                     tree[b] |= 1 << a
-                    for w in (a, b):
-                        dw = deg[w] + 1
+                else:
+                    avail[a] &= ~(1 << b)
+                    avail[b] &= ~(1 << a)
+                for w in (a, b):
+                    dw = deg[w]
+                    if include:
+                        dw += 1
                         deg[w] = dw
                         if dw == 2:
                             needy += 1
                             potential &= ~(1 << w)
-                            aw = avail[w].bit_count()
-                            if aw == 2:
-                                feasible = False
-                            elif aw == 3:
-                                force |= 1 << w
                         elif dw == 3:
                             needy -= 1
-                        elif dw == 1 and avail[w].bit_count() <= room:
-                            # w is committed (|avail| did not change); its
-                            # tree neighbour is internal.
-                            potential &= ~(1 << (a ^ b ^ w))
+                    if dw > 2:
+                        continue
+                    aw = avail[w].bit_count()
+                    if aw - dw < 2 and dw != 1:
+                        # At tree degree 0 or 2, w needs every edge it has
+                        # left.
+                        if aw == dw:
+                            feasible = False
+                        else:
+                            force |= 1 << w
+                    elif aw <= room and dw < 2:
+                        # w can only end as a leaf; its tree neighbour, if
+                        # any, is internal.
+                        committed |= 1 << w
+                        potential &= ~tree[w]
+                if not include:
+                    # A cycle-closing exclusion (entered, not after an
+                    # include) keeps u and v joined by included edges, all
+                    # in avail.
+                    feasible = feasible and (s == _ENTER or connected())
                 if not (feasible and force and forcing):
                     break
-                low = force & -force
-                force ^= low
-                x = low.bit_length() - 1
-                rest = avail[x] & ~tree[x]
-                a = -1
-                if rest:  # else an include at x already gave it its edge
-                    y = rest.bit_length() - 1
-                    rx = x
-                    while parent[rx] != rx:
-                        rx = parent[rx]
-                    ry = y
-                    while parent[ry] != ry:
-                        ry = parent[ry]
-                    if rx == ry:
-                        feasible = False
-                    else:
-                        if rank[rx] > rank[ry]:
-                            rx, ry = ry, rx
-                        parent[rx] = ry
-                        rank[ry] += rank[rx]
-                        links.append(rx)
-                        a, b = (x, y) if x < y else (y, x)
+                rest = 0
+                while force and not rest:
+                    low = force & -force
+                    force ^= low
+                    a = low.bit_length() - 1
+                    # Empty when an include at a already gave it its edge.
+                    rest = avail[a] & ~tree[a]
+                if not rest:
+                    break
+                b = rest.bit_length() - 1
+                ru = a
+                while parent[ru] != ru:
+                    ru = parent[ru]
+                rv = b
+                while parent[rv] != rv:
+                    rv = parent[rv]
+                if ru == rv:
+                    feasible = False
+                    break
+                if a > b:
+                    a, b = b, a
+                include = True
             if feasible and cycle_mode:
                 # The parent node passed the leaf-cycle check on saved[i].
                 pot0, com0, _, _ = saved[i]
