@@ -3,10 +3,14 @@ experiment harness that charts solver outcomes near it.
 
 The complete bipartite instances here have minimum degree just below the
 conjectured threshold and provably no spanning generalized Halin
-subgraph; the lab re-derives both facts exhaustively at desk scale and
-treats any disagreement as a falsification event.  Threshold experiments
-never claim to verify the asymptotic statement: they record per-trial
-outcomes, each positive one backed by a verifier-checked certificate.
+subgraph; the lab re-derives both facts at desk scale and treats any
+disagreement as a falsification event.  No HIST is balanced: the side
+degree count in `balanced_leaf_hist_exists` decides that where it
+settles it (on the whole sharp family), and a walk over every HIST
+decides it elsewhere.  No SGHG: an exhaustive search decides that.
+Threshold experiments never claim to verify the asymptotic statement:
+they record per-trial outcomes, each positive one backed by a
+verifier-checked certificate.
 """
 
 from __future__ import annotations
@@ -74,9 +78,12 @@ class SharpnessReport:
 
 
 def confirm_sharpness(a: int, budget: SearchBudget = UNBOUNDED) -> SharpnessReport:
-    """Exhaustively re-derive the two negative facts for one instance.
+    """Re-derive the two negative facts for one instance.
 
-    A budget overrun produces an inconclusive report; a positive finding
+    The side degree count settles the balanced-leaf fact with no walk
+    (the budget goes unused there); where it would not, the walk over
+    every HIST decides.  An exhaustive search settles the SGHG fact.  A
+    budget overrun produces an inconclusive report; a positive finding
     would contradict the counting argument and raises a falsification.
     """
     g, meta = sharpness_instance(a)

@@ -86,7 +86,10 @@ masks, and its nodes count against the same kind of budget, through
 
 `_solve` maps a search into a `SearchResult` once, for both `find_hist`
 and `find_sghg`.  `balanced_leaf_hist_exists` keeps its own loop, because
-it tests a predicate on each HIST and raises on a budget overrun.
+it tests a predicate on each HIST and raises on a budget overrun.  It
+first asks a side degree count, `_leaf_balance_impossible`: where the
+count rules out a balanced HIST it answers False with no walk, and
+elsewhere the walk over every HIST decides.
 Budgets make "unknown" a first-class outcome distinct from a proved
 "none"; a certificate found before the budget ran out is still "found",
 but its `solution_count` stays None, because a count is reported only
@@ -565,20 +568,42 @@ def ham_path_oracle(
     return next(_ham_walks(g._masks, (1 << g.n) - 1, x, y, _Meter(budget).tick), None)
 
 
+def _leaf_balance_impossible(a: int, b: int) -> bool:
+    """Does the side degree count rule out a HIST with equally many leaves
+    on both sides of a bipartition with sides of a and b vertices?
+
+    Every tree edge joins the sides, so each side's tree degrees sum to
+    n - 1; a side of s vertices, its non-leaves at tree degree >= 3, has
+    at least ceil((3s - n + 1)/2) leaves.  Unless the other side is a
+    single vertex, a side also holds a non-leaf: s leaves would sum to s,
+    and s = n - 1 leaves one vertex on the other side.  On one vertex the
+    empty tree is a HIST with no leaves, so the count says nothing there.
+    """
+    n = a + b
+    if n < 2:
+        return False
+    least = max(-((n - 1 - 3 * s) // 2) for s in (a, b))
+    return least > min(a - (b >= 2), b - (a >= 2))
+
+
 def balanced_leaf_hist_exists(
     g: Graph, partition: VertexSetPair, budget: SearchBudget = UNBOUNDED
 ) -> bool:
     """True iff some HIST has equally many leaves on both partition sides.
 
-    Exhaustive over all HISTs of g; the partition must be a genuine
-    bipartition (spanning, no internal edges).  A budget overrun raises
-    BudgetExhausted.
+    The partition must be a genuine bipartition (spanning, no internal
+    edges).  When the side degree count (`_leaf_balance_impossible`)
+    rules a balanced HIST out, the answer is False at once and the budget
+    is not touched; otherwise a walk over every HIST of g decides, and a
+    budget overrun during it raises BudgetExhausted.
     """
     left, right = partition.left, partition.right
     if left | right != set(range(g.n)):
         raise PreconditionError("partition must cover the vertex set")
     if edge := edge_inside(g, left, right):
         raise PreconditionError("edge {}-{} inside one partition side".format(*edge))
+    if _leaf_balance_impossible(len(left), len(right)):
+        return False
     search = _TreeSearch(g, False, budget)
     for _ in search.hists():
         leaves = search.leaf_set()

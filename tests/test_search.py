@@ -22,13 +22,14 @@ from halinlab.search import (
     SearchBudget,
     _TreeSearch,
     _ham_walks,
+    _leaf_balance_impossible,
     balanced_leaf_hist_exists,
     find_hist,
     find_sghg,
     ham_path_oracle,
 )
 
-from oracles import brute_ham_path, iter_hists, naive_sghg, random_graph
+from oracles import brute_ham_path, iter_hists, naive_sghg, random_graph, tree_degrees
 
 PETERSEN = Graph(
     10,
@@ -149,7 +150,8 @@ def test_budget_overrun_reports_no_partial_count():
         (find_hist, PETERSEN, EXHAUSTIVE, "found", 104, 10),
         (find_hist, CUBE, EXHAUSTIVE, "none", 63, 0),
         (find_hist, Graph.cycle(8), UNBOUNDED, "none", 4, 0),
-        # The HIST walk `balanced_leaf_hist_exists` makes on K_{4,6}.
+        # Every HIST of K_{4,6}.  `balanced_leaf_hist_exists` used to walk
+        # them all; the side degree count now refutes K_{4,6} first.
         (find_hist, Graph.complete_bipartite(4, 6), EXHAUSTIVE, "found", 36_701, 744),
     ],
     # Fixed ids: a re-pin changes the numbers, never the test names.
@@ -262,13 +264,77 @@ def test_ham_walks_on_a_mask_match_the_induced_subgraph(case):
     assert ticks == ref_ticks
 
 
+def _sides(a, b):
+    """The sides of Graph.complete_bipartite(a, b), left first."""
+    return VertexSetPair(range(a), range(a, a + b))
+
+
+def _balanced_walk(g, left):
+    """Is some HIST of g balanced on `left` and the rest?  Read off every
+    HIST, with no side degree count: by plain enumeration up to 7
+    vertices, by the tree search above that."""
+    if g.n <= 7:
+        trees = iter_hists(g)
+    else:
+        search = _TreeSearch(g, False, UNBOUNDED)
+        trees = search.hists()
+    for edges in trees:
+        leaves = [v for v, d in enumerate(tree_degrees(g.n, edges)) if d == 1]
+        if 2 * sum(1 for v in leaves if v in left) == len(leaves):
+            return True
+    return False
+
+
 def test_balanced_leaf_hist_examples():
-    k34 = Graph.complete_bipartite(3, 4)
-    assert balanced_leaf_hist_exists(k34, bipartition(k34)) is False
-    k33 = Graph.complete_bipartite(3, 3)
-    assert balanced_leaf_hist_exists(k33, bipartition(k33)) is True
-    k22 = Graph.complete_bipartite(2, 2)
-    assert balanced_leaf_hist_exists(k22, bipartition(k22)) is False
+    # One vertex: the empty tree is a HIST with no leaves on either side.
+    assert balanced_leaf_hist_exists(Graph(1, []), _sides(1, 0)) is True
+    for a, b, balanced in [(1, 1, True), (1, 3, False), (2, 2, False),
+                           (3, 4, False), (3, 3, True)]:
+        g = Graph.complete_bipartite(a, b)
+        assert balanced_leaf_hist_exists(g, bipartition(g)) is balanced, (a, b)
+    # K_{3,3}'s answer comes from the walk: the count does not settle it.
+    assert not _leaf_balance_impossible(3, 3)
+
+
+def test_balanced_leaf_hist_agrees_with_the_walk_alone():
+    # Every K_{a,b} with a + b <= 11, one side empty included, then random
+    # bipartite hosts on sides drawn at random.
+    hosts = [(Graph.complete_bipartite(a, n - a), set(range(a)))
+             for n in range(12) for a in range(n + 1)]
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randrange(2, 11)
+        left = {v for v in range(n) if rng.random() < 0.5}
+        p = rng.choice([0.4, 0.7, 1.0])
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if (u in left) != (v in left) and rng.random() < p]
+        hosts.append((Graph(n, edges), left))
+    for g, left in hosts:
+        sides = VertexSetPair(left, set(range(g.n)) - left)
+        assert balanced_leaf_hist_exists(g, sides) is _balanced_walk(g, left), (
+            g.n, sorted(left), g.edges())
+
+
+def test_sharp_family_has_no_balanced_leaf_hist_by_search():
+    # The count refutes these hosts before any walk; the walk alone still
+    # confirms that none of their HISTs is balanced.
+    for a, b in [(3, 4), (4, 5), (4, 6)]:
+        assert _leaf_balance_impossible(a, b)
+        g = Graph.complete_bipartite(a, b)
+        search = _TreeSearch(g, False, UNBOUNDED)
+        for _ in search.hists():
+            leaves = search.leaf_set()
+            assert 2 * sum(1 for v in leaves if v < a) != len(leaves), (a, b)
+
+
+def test_balanced_leaf_hist_budget_reaches_only_the_walk():
+    starved = SearchBudget(node_limit=1, mode="canonical")
+    # The count settles K_{4,7}: no walk, so no budget to run out of.
+    assert balanced_leaf_hist_exists(Graph.complete_bipartite(4, 7), _sides(4, 7),
+                                     starved) is False
+    # It does not settle K_{3,3}, so the walk runs and hits the limit.
+    with pytest.raises(BudgetExhausted):
+        balanced_leaf_hist_exists(Graph.complete_bipartite(3, 3), _sides(3, 3), starved)
 
 
 def test_balanced_leaf_hist_rejects_non_bipartition():
