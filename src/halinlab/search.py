@@ -4,14 +4,16 @@ One tree search serves every solver.  `_TreeSearch.hists` branches on
 edges in lexicographic order (include before exclude) with an explicit
 stack, so input size never meets the recursion limit, and yields at every
 spanning HIST; the first one is the lexicographically least, which is why
-the first and canonical modes coincide.  Degree state per
-vertex drives the pruning: a vertex frozen at tree-degree 2 kills the
-branch immediately, and in SGHG mode the evolving committed-leaf set must
-stay cyclically feasible (two potential-leaf neighbors each, one
-component) at every node.  An SGHG has at least 4 vertices, so SGHG
-search refutes a smaller host, or one with a vertex of degree below 3,
-before its first node.  It adds three leaf rules and a degree rule, all
-kept up incrementally as edges are decided:
+the first and canonical modes coincide.  Degree state per vertex drives
+the pruning: a vertex frozen at tree-degree 2 kills the branch at once,
+and in SGHG mode the committed leaves must stay cyclically feasible (at
+least 3 potential leaves, two potential-leaf neighbours per committed
+leaf) at every node.  No test asks that they share a component of the
+potential leaves: a reach per node cost more time than the nodes it cut,
+and the leaf walk still rejects disconnected leaves at its first node.
+An SGHG has at least 4 vertices, so SGHG search refutes a smaller host,
+or one with a vertex of degree below 3, before its first node.  It adds
+three leaf rules and a degree rule, kept up as edges are decided:
 
 - forced leaf: a vertex with deg <= 1 and |avail| <= 2 (its tree edges
   and undecided edges) can only end as a leaf, so it is committed at once;
@@ -237,9 +239,6 @@ class _TreeSearch(_Meter):
             if (masks[low.bit_length() - 1] & pot).bit_count() < 2:
                 return False
             rest ^= low
-        # Two or more committed leaves must share a component of pot.
-        if com & (com - 1) and com & ~_reach(masks, (com & -com).bit_length() - 1, pot):
-            return False
         return True
 
     def _p_degrees_ok(self, pot: int, lost: int, suspects: int) -> bool:

@@ -43,6 +43,13 @@ def test_solve_budget_unknown(tmp_path):
     assert main(["solve", "sghg", "--graph", str(path), "--node-limit", "1"]) == 2
 
 
+def test_solve_time_limit_expires(tmp_path):
+    # K_{5,7} has no SGHG, but proving it takes seconds.
+    path = tmp_path / "k57.g6"
+    path.write_bytes(emit_graph6(Graph.complete_bipartite(5, 7)) + b"\n")
+    assert main(["solve", "sghg", "--graph", str(path), "--time-limit", "0.05"]) == 2
+
+
 def test_solve_requires_budget(k4):
     assert main(["solve", "sghg", "--graph", k4]) == 12
 
@@ -83,10 +90,14 @@ def test_usage_error_exit_code():
     assert err.value.code == 10
 
 
-def test_parse_error_exit_code(tmp_path):
+def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_bytes(b"C")  # truncated
     assert main(["solve", "sghg", "--graph", str(bad), "--node-limit", "10"]) == 11
+    # A file that cannot be read exits 11 too.
+    missing = str(tmp_path / "missing.g6")
+    assert main(["solve", "sghg", "--graph", missing, "--node-limit", "10"]) == 11
+    assert "io error" in capsys.readouterr().err
 
 
 # Malformed input files exit 11 or 12, never 14 (internal error).
@@ -287,6 +298,13 @@ def test_project_rejects_a_trace_for_other_terminals(reduced_k4, capsys):
             "--cert", reduced_k4["cert.json"]]
     assert main(argv) == 12
     assert "not the reduction instance" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_reduction_trace(reduced_k4, capsys):
+    # A well-formed document of a kind that is not a certificate.
+    argv = ["verify", "--graph", reduced_k4["gpp.g6"], "--cert", reduced_k4["trace.json"]]
+    assert main(argv) == 12
+    assert "cannot verify documents of kind 'reduction-trace'" in capsys.readouterr().err
 
 
 def test_project_rejects_a_hist_certificate(reduced_k4, k4, tmp_path):

@@ -186,6 +186,8 @@ def test_moon_moser_rejects_bad_input():
     k33 = Graph.complete_bipartite(3, 3)
     with pytest.raises(PreconditionError):
         moon_moser_cycle(k33, VertexSetPair([0, 1], [3, 4, 5, 2]))
+    with pytest.raises(PreconditionError, match="cover"):
+        moon_moser_cycle(k33, VertexSetPair([0, 1], [3, 4]))
     sparse = Graph(6, [(0, 3), (1, 4), (2, 5)])
     with pytest.raises(PreconditionError):
         moon_moser_cycle(sparse, VertexSetPair([0, 1, 2], [3, 4, 5]))

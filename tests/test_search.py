@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from halinlab.certify import is_generalized_halin, is_hist
 from halinlab.errors import BudgetExhausted, PreconditionError
+from halinlab.extremal import sharpness_instance
 from halinlab.graph import (
     Graph,
     VertexSetPair,
@@ -122,6 +123,14 @@ def test_budget_accepts_every_mode_string():
             SearchBudget(mode=alias)
 
 
+def test_time_limit_expires_as_unknown():
+    # The full refutation of K_{5,7} takes 707,758 nodes, seconds rather
+    # than the 0.05 s allowed; the deadline is read every 1,024 nodes.
+    r = find_sghg(Graph.complete_bipartite(5, 7), SearchBudget(time_limit=0.05))
+    assert (r.status, r.certificate, r.solution_count) == ("unknown", None, None)
+    assert r.nodes > 0 and r.nodes % 1024 == 0
+
+
 def test_budget_overrun_reports_no_partial_count():
     k7 = Graph.complete(7)
     partial = find_hist(k7, SearchBudget(node_limit=2000, mode="exhaustive"))
@@ -144,7 +153,7 @@ def test_budget_overrun_reports_no_partial_count():
         # K_5 minus the edge 0-4, reduced for the terminals 0 and 4: 17
         # vertices and 32 edges, where the P-degree rule cuts deep.
         (find_sghg, reduce_instance(parse_graph6(b"D~["), 0, 4)[0], UNBOUNDED,
-         "found", 2_705, None),
+         "found", 2_984, None),
         # Sparse cubic and 2-regular hosts, where HIST search lives on the
         # frozen-at-2 and exclusion dead-end rules.
         (find_hist, PETERSEN, EXHAUSTIVE, "found", 104, 10),
@@ -167,7 +176,7 @@ def test_node_counts_are_pinned(solver, g, budget, status, nodes, count):
 def test_reduction_corpus_node_totals_are_pinned():
     # Every labelled reduction instance on 3 and 4 vertices, every terminal
     # pair: (instances, found, total nodes).
-    for n, pinned in ((3, (24, 6, 124)), (4, (384, 84, 8_688))):
+    for n, pinned in ((3, (24, 6, 124)), (4, (384, 84, 8_748))):
         results = [
             find_sghg(reduce_instance(g, x, y)[0])
             for g in iter_all_graphs(n)
@@ -192,6 +201,8 @@ def test_ham_path_oracle_examples():
     assert ham_path_oracle(star, 1, 2) is None
     with pytest.raises(PreconditionError):
         ham_path_oracle(p4, 1, 1)
+    with pytest.raises(PreconditionError, match="out of range"):
+        ham_path_oracle(p4, 0, 4)
 
 
 def test_ham_path_oracle_honours_its_budget():
@@ -325,6 +336,11 @@ def test_sharp_family_has_no_balanced_leaf_hist_by_search():
         for _ in search.hists():
             leaves = search.leaf_set()
             assert 2 * sum(1 for v in leaves if v < a) != len(leaves), (a, b)
+    # On K_{a,b} the count refutes exactly when 2b > 3(a - 1), the bound
+    # `check_arithmetic` asserts, so it settles every sharpness instance.
+    for a in range(2, 201):
+        _, meta = sharpness_instance(a)
+        assert _leaf_balance_impossible(meta.a, meta.b), a
 
 
 def test_balanced_leaf_hist_budget_reaches_only_the_walk():
@@ -341,6 +357,8 @@ def test_balanced_leaf_hist_rejects_non_bipartition():
     g = Graph.complete(4)
     with pytest.raises(PreconditionError):
         balanced_leaf_hist_exists(g, VertexSetPair([0, 1], [2, 3]))
+    with pytest.raises(PreconditionError, match="cover"):
+        balanced_leaf_hist_exists(Graph.complete_bipartite(2, 3), VertexSetPair([0, 1], [2, 3]))
 
 
 def test_exhaustive_agrees_with_naive_oracle_small():
@@ -483,13 +501,14 @@ def test_forced_edges_on_complete_bipartite_hosts():
 
 
 def test_forcing_off_is_the_plain_search():
-    # Node counts pinned before propagation landed still hold with it
-    # switched off: the switch reaches the kernel, and the rest of the
-    # search is as it was.
+    # With propagation switched off, K_{4,5} and the Petersen graph take
+    # the node counts pinned before it landed: the switch reaches the
+    # kernel, and the rest of the search is as it was.  k5e's count is
+    # that of the leaf-cycle check as it stands, with no component test.
     k5e = reduce_instance(parse_graph6(b"D~["), 0, 4)[0]
     for solver, g, budget, nodes in [
         (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, 4_198),
-        (find_sghg, k5e, UNBOUNDED, 5_091),
+        (find_sghg, k5e, UNBOUNDED, 5_542),
         (find_hist, PETERSEN, EXHAUSTIVE, 201),
     ]:
         assert _without_forcing(solver, g, budget).nodes == nodes
