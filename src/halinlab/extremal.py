@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .certify import is_generalized_halin
-from .errors import BudgetExhausted, FalsificationError, PreconditionError
+from .errors import FalsificationError, PreconditionError
 from .graph import Graph, VertexSetPair, vertex_connectivity_at_least
 from .io_formats import CertificateDocument, emit_certificate
 from .search import UNBOUNDED, SearchBudget, balanced_leaf_hist_exists, find_sghg
@@ -64,38 +64,35 @@ def sharpness_instance(a: int) -> tuple[Graph, SharpnessInstance]:
 @dataclass
 class SharpnessReport:
     instance: SharpnessInstance
-    balanced_hist_found: bool | None
+    balanced_hist_found: bool
     sghg_status: str
     nodes: int
 
     @property
     def conclusive(self) -> bool:
-        return self.balanced_hist_found is not None and self.sghg_status != "unknown"
+        return self.sghg_status != "unknown"
 
     @property
     def confirmed(self) -> bool:
-        return self.balanced_hist_found is False and self.sghg_status == "none"
+        return not self.balanced_hist_found and self.sghg_status == "none"
 
 
 def confirm_sharpness(a: int, budget: SearchBudget = UNBOUNDED) -> SharpnessReport:
     """Re-derive the two negative facts for one instance.
 
-    The side degree count settles the balanced-leaf fact with no walk
-    (the budget goes unused there); where it would not, the walk over
-    every HIST decides.  An exhaustive search settles the SGHG fact.  A
-    budget overrun produces an inconclusive report; a positive finding
-    would contradict the counting argument and raises a falsification.
+    The side degree count settles the balanced-leaf fact with no walk,
+    so the budget goes to the SGHG search alone: `check_arithmetic`
+    asserts 2b > 3(a - 1), under which the count refutes K_{a,b}.
+    An exhaustive search settles the SGHG fact.  A budget overrun there
+    produces an inconclusive report; a positive finding would contradict
+    the counting argument and raises a falsification.
     """
     g, meta = sharpness_instance(a)
     sides = VertexSetPair(range(a), range(a, meta.n))
-    balanced: bool | None
-    try:
-        balanced = balanced_leaf_hist_exists(g, sides, budget)
-    except BudgetExhausted:
-        balanced = None
+    balanced = balanced_leaf_hist_exists(g, sides, budget)
     result = find_sghg(g, budget)
     report = SharpnessReport(meta, balanced, result.status, result.nodes)
-    if balanced is True or result.status == "found":
+    if balanced or result.status == "found":
         raise FalsificationError(
             "sharpness instance produced a forbidden structure",
             {"a": a, "balanced": balanced, "sghg": result.status},

@@ -239,11 +239,22 @@ def edge_inside(g: Graph, *parts: Iterable[int]) -> Edge | None:
 # k = 3 takes about 4 s on a 2-CPU machine.
 
 
-def _reach(masks: Sequence[int], start: int, within: int) -> int:
+def _reach(
+    masks: Sequence[int], start: int, within: int, stop: int | None = None
+) -> int:
     """Bitmask of the vertices reachable from `start` inside `within`
-    (a bitmask that contains `start`)."""
+    (a bitmask that contains `start`).
+
+    The search ends as soon as it has seen every vertex of `stop`
+    (default `within`).  With a smaller `stop` it may return only part
+    of the reach: a part that holds all of `stop` when the reach does,
+    and otherwise the whole reach.  So `_reach(masks, u, within, 1 << v)
+    >> v & 1` asks whether u reaches v, and stops once it has.
+    """
+    if stop is None:
+        stop = within
     seen = frontier = 1 << start
-    while frontier and seen != within:
+    while frontier and stop & ~seen:
         grown = 0
         while frontier:
             low = frontier & -frontier

@@ -72,6 +72,14 @@ HIST that forcing completes early skips the exclusions that would have
 committed its leaves, so SGHG search runs the leaf-cycle check on its
 leaves, all committed, before it walks them.
 
+Only the root asks whether the whole host is connected.  Below it,
+`avail` was connected at the parent node, and a step removes at most one
+edge from it, the level's own exclude (forced edges are only included).
+So after the exclusion of (u, v) `avail` stays connected iff u still
+reaches v: a walk that used (u, v) can go round by a u-v path instead.
+The exclusion step asks just that, with a reach from u that stops as
+soon as it has seen a neighbour of v.
+
 Two checks are skipped where they can only pass.  An exclusion of an
 edge whose ends the included edges already join (one with no include
 branch) runs no connectivity search: those edges stay in `avail`, so it
@@ -215,8 +223,18 @@ class _TreeSearch(_Meter):
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _connected_avail(self) -> bool:
-        return _reach(self.avail, 0, self.full) == self.full
+    def _joined(self, u: int, v: int) -> int:
+        """1 if u still reaches v in `avail`, else 0: after the exclusion
+        of (u, v) from a connected `avail`, whether it is still connected.
+
+        It aims at w, v's highest neighbour in `avail`, which u reaches
+        iff it reaches v.  The degree rules have already cut a node where
+        v has no edge left.  Edges are decided lowest first, so high
+        vertices keep most of theirs, and the reach tends to meet w
+        sooner than v.
+        """
+        w = self.avail[v].bit_length() - 1
+        return _reach(self.avail, u, self.full, 1 << w) >> w & 1
 
     def _cycle_feasible(self, pot: int, com: int) -> bool:
         """Can the committed leaves `com` still lie on one cycle through
@@ -267,18 +285,18 @@ class _TreeSearch(_Meter):
         """Yield the include stack at every spanning HIST, in lexicographic
         order.  The stack and `deg` describe that HIST until the generator
         resumes."""
-        n1, m, cycle_mode = self.n - 1, self.m, self.cycle_mode
-        # An SGHG has at least 4 vertices.
-        if self.n < (4 if cycle_mode else 1) or m < n1 or not self._connected_avail():
-            return
+        n1, m, cycle_mode, full = self.n - 1, self.m, self.cycle_mode, self.full
         edges, deg, avail, tree = self.edges, self.deg, self.avail, self.tree
+        # An SGHG has at least 4 vertices.
+        if self.n < (4 if cycle_mode else 1) or m < n1 or _reach(avail, 0, full) != full:
+            return
         tick, room, p_degrees_ok = self.tick, self.room, self._p_degrees_ok
-        connected, cycle_feasible = self._connected_avail, self._cycle_feasible
+        joined, cycle_feasible = self._joined, self._cycle_feasible
         forcing = self._forcing
         # At the root P is the host, so every vertex is checked once; after
         # this pass no vertex has host degree <= room, so none starts
         # committed.
-        if cycle_mode and not p_degrees_ok(self.full, 0, self.full):
+        if cycle_mode and not p_degrees_ok(full, 0, full):
             return
         parent = list(range(self.n))
         rank = [1] * self.n
@@ -290,7 +308,7 @@ class _TreeSearch(_Meter):
         # potential: vertices that may still end as leaves (deg <= 1 and,
         # in SGHG search, not the tree neighbour of a committed leaf);
         # committed: vertices that must end as leaves.
-        potential, committed = self.full, 0
+        potential, committed = full, 0
         # Level i decides edge at[i], the lowest edge above the parent
         # level's that no earlier level forced in; `saved` holds the leaf
         # masks, `needy` and the trail length to restore when it is left.
@@ -394,10 +412,11 @@ class _TreeSearch(_Meter):
                         committed |= 1 << w
                         potential &= ~tree[w]
                 if not include:
-                    # A cycle-closing exclusion (entered, not after an
-                    # include) keeps u and v joined by included edges, all
-                    # in avail.
-                    feasible = feasible and (s == _ENTER or connected())
+                    # Only the level's own edge is ever excluded, so (a, b)
+                    # is (u, v).  A cycle-closing exclusion (entered, not
+                    # after an include) keeps u and v joined by included
+                    # edges, all in avail.
+                    feasible = feasible and (s == _ENTER or joined(u, v))
                 if not (feasible and force and forcing):
                     break
                 rest = 0

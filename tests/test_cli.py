@@ -387,6 +387,12 @@ def test_extremal_commands(tmp_path, capsys):
     assert main(["extremal", "confirm", "--a", "3"]) == 0
     assert "confirmed" in capsys.readouterr().out
     assert main(["extremal", "confirm", "--a", "4", "--node-limit", "5"]) == 2
+    capsys.readouterr()
+    # The side degree count refutes the balanced half with no walk, so even
+    # a one-node budget reaches only the SGHG search.
+    assert main(["extremal", "confirm", "--a", "4", "--node-limit", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "balanced-leaf hist=False, sghg=unknown" in out and "inconclusive" in out
 
 
 def test_experiment_command(tmp_path):

@@ -11,6 +11,7 @@ from halinlab.gadgets import InsertionInstance
 from halinlab.graph import (
     Graph,
     VertexSetPair,
+    _reach,
     bipartition,
     colour_classes,
     degree_between,
@@ -194,6 +195,32 @@ def test_connectivity_against_cut_enumeration():
 def test_connectivity_matches_the_cut_oracle(g):
     for k in range(g.n + 2):
         assert vertex_connectivity_at_least(g, k) == cut_connectivity_at_least(g, k)
+
+
+def test_reach_stops_once_it_has_seen_the_stop_mask():
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        g = random_graph(rng, n, rng.random())
+        start = rng.randrange(n)
+        within = rng.getrandbits(n) | 1 << start
+        inside = to_networkx(g).subgraph(v for v in range(n) if within >> v & 1)
+        reach = sum(1 << v for v in nx.node_connected_component(inside, start))
+        # The default stop mask is `within`: the whole reach.
+        assert _reach(g._masks, start, within) == reach
+        # Only `start`: nothing to search.
+        assert _reach(g._masks, start, within, 1 << start) == 1 << start
+        # Bits outside `within` are never seen, so the search runs to the end.
+        outside = rng.getrandbits(n + 1) & ~within | 1 << n
+        assert _reach(g._masks, start, within, rng.getrandbits(n) | outside) == reach
+        stop = rng.getrandbits(n) & within
+        got = _reach(g._masks, start, within, stop)
+        assert got >> start & 1 and got & ~reach == 0, (g.edges(), start, within, stop)
+        assert got == reach if stop & ~reach else stop & ~got == 0
+    # It stops at the first level that sees the stop mask: on a path from
+    # 0, one step to reach 1.
+    path = Graph.path(10)
+    assert _reach(path._masks, 0, (1 << 10) - 1, 1 << 1) == 0b11
 
 
 @st.composite

@@ -11,6 +11,7 @@ from halinlab.extremal import sharpness_instance
 from halinlab.graph import (
     Graph,
     VertexSetPair,
+    _reach,
     bipartition,
     iter_all_graphs,
     vertex_connectivity_at_least,
@@ -514,18 +515,18 @@ def test_forcing_off_is_the_plain_search():
         assert _without_forcing(solver, g, budget).nodes == nodes
 
 
-def _connectivity_searches(solver, g, budget):
-    """How many connectivity searches of `avail` solver runs."""
+def _exclusion_checks(solver, g, budget):
+    """How many exclusion steps ask whether u still reaches v."""
     calls = 0
-    search = _TreeSearch._connected_avail
+    check = _TreeSearch._joined
 
-    def counted(self):
+    def counted(self, u, v):
         nonlocal calls
         calls += 1
-        return search(self)
+        return check(self, u, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_TreeSearch, "_connected_avail", counted)
+        mp.setattr(_TreeSearch, "_joined", counted)
         solver(g, budget)
     return calls
 
@@ -533,9 +534,51 @@ def _connectivity_searches(solver, g, budget):
 def test_cycle_closing_exclusions_skip_the_connectivity_search():
     # An exclusion whose ends the included edges already join keeps `avail`
     # connected, so it runs no search.  Node counts cannot show the skip;
-    # these call counts do.
-    assert _connectivity_searches(find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED) == 1_392
-    assert _connectivity_searches(find_sghg, Graph.complete(6), EXHAUSTIVE) == 382
+    # these call counts do (the root's whole-host check is not counted).
+    assert _exclusion_checks(find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED) == 1_391
+    assert _exclusion_checks(find_sghg, Graph.complete(6), EXHAUSTIVE) == 381
+
+
+def _with_whole_host_check(solver, g, budget):
+    """solver with each exclusion step asking whether all of `avail` is
+    still connected, and asserting that u reaches v iff it is."""
+    local = _TreeSearch._joined
+
+    def whole_host(self, u, v):
+        connected = _reach(self.avail, 0, self.full) == self.full
+        assert bool(local(self, u, v)) == connected, (g.edges(), u, v)
+        return connected
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "_joined", whole_host)
+        return solver(g, budget)
+
+
+def test_exclusion_check_answers_as_the_whole_host_check():
+    # `avail` is connected at the parent node, so after the exclusion of
+    # (u, v) it is connected iff u still reaches v.
+    rng = random.Random(27)
+    hosts = [random_graph(rng, n, p) for n in range(4, 11) for p in (0.3, 0.5, 0.7, 0.9)]
+    cases = [
+        (solver, g, budget)
+        for g in hosts
+        for solver in (find_hist, find_sghg)
+        for budget in ((UNBOUNDED, EXHAUSTIVE) if g.n <= 7 else (UNBOUNDED,))
+    ]
+    cases += [
+        (solver, reduce_instance(g, x, y)[0], UNBOUNDED)
+        for g in iter_all_graphs(4)
+        for x, y in combinations(range(4), 2)
+        for solver in (find_hist, find_sghg)
+    ]
+    k45 = Graph.complete_bipartite(4, 5)
+    cases += [(find_hist, k45, EXHAUSTIVE), (find_sghg, k45, UNBOUNDED)]
+    for solver, g, budget in cases:
+        ours = solver(g, budget)
+        whole = _with_whole_host_check(solver, g, budget)
+        assert (ours.status, ours.nodes, ours.certificate, ours.solution_count) == (
+            whole.status, whole.nodes, whole.certificate, whole.solution_count
+        ), g.edges()
 
 
 @given(sghg_hosts(9, WITH_DENSE))
