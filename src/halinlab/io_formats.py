@@ -123,6 +123,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("non-integer header", head_line) from None
     if n < 0:
         raise ParseError(f"negative vertex count {n}", head_line)
+    if m < 0:
+        raise ParseError(f"negative edge count {m}", head_line)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges: list[tuple[int, int]] = []

@@ -4,18 +4,19 @@ One tree search serves every solver.  `_TreeSearch.hists` branches on
 edges in lexicographic order (include before exclude) with an explicit
 stack, so input size never meets the recursion limit, and yields at every
 spanning HIST; the first one is the lexicographically least, which is why
-the first and canonical modes coincide.  Degree state per vertex drives
-the pruning: a vertex frozen at tree-degree 2 kills the branch at once,
-and in SGHG mode the committed leaves must stay cyclically feasible (at
-least 3 potential leaves, two potential-leaf neighbours per committed
-leaf) at every node.  No test asks that they share a component of the
-potential leaves: a reach per node cost more time than the nodes it cut,
-and the leaf walk still rejects disconnected leaves at its first node.
+the first and canonical modes coincide.  Tree degrees drive the pruning,
+each read off the vertex's tree-neighbour mask as its bit count: a
+vertex frozen at tree-degree 2 kills the branch at once, and in SGHG
+mode the committed leaves must stay cyclically feasible (at least 3
+potential leaves, two potential-leaf neighbours per committed leaf) at
+every node.  No test asks that they share a component of the potential
+leaves: a reach per node cost more time than the nodes it cut, and the
+leaf walk still rejects disconnected leaves at its first node.
 An SGHG has at least 4 vertices, so SGHG search refutes a smaller host,
 or one with a vertex of degree below 3, before its first node.  It adds
 three leaf rules and a degree rule, kept up as edges are decided:
 
-- forced leaf: a vertex with deg <= 1 and |avail| <= 2 (its tree edges
+- forced leaf: a vertex of tree degree <= 1 and |avail| <= 2 (its tree
   and undecided edges) can only end as a leaf, so it is committed at once;
 - leaf adjacency: the tree neighbour of a committed leaf is internal, so
   it leaves the potential leaves;
@@ -63,14 +64,14 @@ leaf adjacency.  It repeats on each forced edge, up to a fixpoint; a
 forced edge that would close a cycle cuts the node, and the leaf-cycle
 and P-degree checks then run on the new state.  A trail holds what
 `saved[i]` does not restore: the included stack, the union-find root
-each included edge linked and, through the stack, the tree degrees and
-tree-neighbour masks.  The level that pushed an entry pops it when it is
-left.  The exclude branch of a forced edge holds no HIST, so deciding
-the edge early cuts only dead subtrees: HISTs, and so certificates,
-counts and the order solutions come in, are the same as without it.  A
-HIST that forcing completes early skips the exclusions that would have
-committed its leaves, so SGHG search runs the leaf-cycle check on its
-leaves, all committed, before it walks them.
+each included edge linked and, through the stack, the tree-neighbour
+masks.  The level that pushed an entry pops it when it is left.  The
+exclude branch of a forced edge holds no HIST, so deciding the edge
+early cuts only dead subtrees: HISTs, and so certificates, counts and
+the order solutions come in, are the same as without it.  A HIST that
+forcing completes early skips the exclusions that would have committed
+its leaves, so SGHG search runs the leaf-cycle check on its leaves, all
+committed, before it walks them.
 
 Only the root asks whether the whole host is connected.  Below it,
 `avail` was connected at the parent node, and a step removes at most one
@@ -210,14 +211,13 @@ class _TreeSearch(_Meter):
         self.m = len(self.edges)
         self.cycle_mode = cycle_mode
         n = g.n
-        self.deg = [0] * n
-        self.tree = [0] * n  # tree-neighbour masks
+        self.tree = [0] * n  # tree-neighbour masks; bit count = tree degree
         self.avail = [g.neighbor_mask(v) for v in range(n)]
         self.full = (1 << n) - 1
-        # A vertex with deg <= 1 and |avail| (tree plus undecided edges)
-        # <= 2 can only end as a leaf; SGHG search commits it once |avail|
-        # reaches `room` (only exclusions lower it).  HIST search tracks no
-        # leaves: with room 0 the exclude step runs only its dead-end check.
+        # A vertex of tree degree <= 1 and |avail| (its tree and undecided
+        # edges) <= 2 can only end as a leaf; SGHG search commits it once
+        # |avail| reaches `room` (only exclusions lower it).  HIST search
+        # tracks no leaves: with room 0 exclusions run only the dead-end check.
         self.room = 2 if cycle_mode else 0
         self.sides = (colour_classes(g) or (0, 0)) if cycle_mode else (0, 0)
 
@@ -283,10 +283,10 @@ class _TreeSearch(_Meter):
 
     def hists(self) -> Iterator[list[tuple[int, int]]]:
         """Yield the include stack at every spanning HIST, in lexicographic
-        order.  The stack and `deg` describe that HIST until the generator
-        resumes."""
+        order.  The stack and the tree-neighbour masks `tree`, whose bit
+        counts are the tree degrees, describe that HIST until it resumes."""
         n1, m, cycle_mode, full = self.n - 1, self.m, self.cycle_mode, self.full
-        edges, deg, avail, tree = self.edges, self.deg, self.avail, self.tree
+        edges, avail, tree = self.edges, self.avail, self.tree
         # An SGHG has at least 4 vertices.
         if self.n < (4 if cycle_mode else 1) or m < n1 or _reach(avail, 0, full) != full:
             return
@@ -305,8 +305,8 @@ class _TreeSearch(_Meter):
         included: list[tuple[int, int]] = []
         links: list[int] = []
         needy = 0  # vertices currently at tree-degree exactly 2
-        # potential: vertices that may still end as leaves (deg <= 1 and,
-        # in SGHG search, not the tree neighbour of a committed leaf);
+        # potential: vertices that may still end as leaves (tree degree <= 1
+        # and, in SGHG search, not the tree neighbour of a committed leaf);
         # committed: vertices that must end as leaves.
         potential, committed = full, 0
         # Level i decides edge at[i], the lowest edge above the parent
@@ -350,8 +350,6 @@ class _TreeSearch(_Meter):
                 potential, committed, needy, mark = saved[i]
                 while len(included) > mark:
                     a, b = included.pop()
-                    deg[a] -= 1
-                    deg[b] -= 1
                     tree[a] ^= 1 << b
                     tree[b] ^= 1 << a
                     r = links.pop()
@@ -387,10 +385,9 @@ class _TreeSearch(_Meter):
                     avail[a] &= ~(1 << b)
                     avail[b] &= ~(1 << a)
                 for w in (a, b):
-                    dw = deg[w]
+                    # An include has already set w's bit for this edge.
+                    dw = tree[w].bit_count()
                     if include:
-                        dw += 1
-                        deg[w] = dw
                         if dw == 2:
                             needy += 1
                             potential &= ~(1 << w)
@@ -453,7 +450,7 @@ class _TreeSearch(_Meter):
                 step[i] = _ENTER
 
     def leaf_set(self) -> list[int]:
-        return [w for w in range(self.n) if self.deg[w] == 1]
+        return [w for w, t in enumerate(self.tree) if t.bit_count() == 1]
 
     def leaf_cycles(self) -> Iterator[tuple[int, ...]]:
         """Hamiltonian cycles through the leaves of the current HIST, one

@@ -125,6 +125,8 @@ def test_star_pack_verify():
         verify_star_pack(Graph.empty(6), StarPack(6, [(0, (3, 4))], 2), {0}).code
         == "star-edge-absent"
     )
+    outside = StarPack(12, [(0, (12,))], 1)
+    assert verify_star_pack(g, outside, {0}).code == "vertex-out-of-range"
     empty_stars = StarPack(3, [(0, ()), (1, ()), (2, ())], 0)
     assert verify_star_pack(Graph.complete(3), empty_stars, {0, 1, 2}).code == "bad-arity"
 

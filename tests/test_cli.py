@@ -105,13 +105,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     "name, data, code",
     [
         ("bad.edges", b"\xff\xfe 3\n", 11),
+        ("bad.edges", b"3 1\n0 x\n", 11),
         ("cert.json", b'{"kind": "hist\xff", "payload": {}}', 11),
         ("cert.json", b"[" * 100_000 + b"]" * 100_000, 11),
         ("cert.json", b'{"kind": ["hist"], "payload": {}}', 12),
         ("cert.json", b'{"kind": "hist", "payload": {"host_n": 1' + b"0" * 5000 + b"}}", 11),
     ],
-    ids=["edge-list-not-utf8", "cert-not-utf8", "cert-nested-too-deep", "cert-list-kind",
-         "cert-int-too-long"],
+    ids=["edge-list-not-utf8", "edge-list-non-integer-id", "cert-not-utf8",
+         "cert-nested-too-deep", "cert-list-kind", "cert-int-too-long"],
 )
 def test_malformed_input_files_exit_11_or_12(k4, tmp_path, name, data, code):
     path = tmp_path / name
@@ -528,6 +529,18 @@ REPEATED = {
 }
 
 
+def _blank_runtime_ms(csv_bytes: bytes) -> bytes:
+    """The experiment CSV with its wall-clock `runtime_ms` field emptied
+    on every trial row; every other byte is kept."""
+    rows = [line.split(b",") for line in csv_bytes.split(b"\n")]
+    col = rows[0].index(b"runtime_ms")
+    for fields in rows[1:]:
+        if len(fields) > col:
+            assert fields[col].isdigit()
+            fields[col] = b""
+    return b"\n".join(b",".join(fields) for fields in rows)
+
+
 @pytest.mark.parametrize("words", COMMAND_WORDS)
 def test_identical_calls_in_one_process_give_identical_results(
     words, reduced_k4, tmp_path, capsys
@@ -549,6 +562,9 @@ def test_identical_calls_in_one_process_give_identical_results(
             if path.exists():
                 written[path.name] = path.read_bytes()
                 path.unlink()
+        if words == "experiment threshold":
+            # runtime_ms is wall-clock time, which may differ between calls.
+            written["out2"] = _blank_runtime_ms(written["out2"])
         runs.append((code, capsys.readouterr().out, written))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0

@@ -166,6 +166,8 @@ def test_threshold_experiment_empty():
         report = threshold_experiment(10, 0.8, 0, 1, SearchBudget(node_limit=10), threads)
         assert report.trials == [] and report.rates() == {}
         assert "experiment-report" in emit_certificate(report.to_document())
+    with pytest.raises(PreconditionError, match="^trials must be nonnegative$"):
+        threshold_experiment(10, 0.8, -1, 1, SearchBudget(node_limit=10))
 
 
 def test_sharpness_trial_injection():

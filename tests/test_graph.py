@@ -62,6 +62,8 @@ def test_rejects_bad_edges():
         with pytest.raises(PreconditionError) as err:
             Graph(n, edges)
         assert str(err.value) == message
+    with pytest.raises(PreconditionError, match="^cycle needs at least 3 vertices$"):
+        Graph.cycle(2)
 
 
 @given(edge_lists(), st.data())
@@ -162,6 +164,8 @@ def test_connectivity_examples():
     assert not vertex_connectivity_at_least(Graph.path(3), 2)
     assert vertex_connectivity_at_least(Graph.complete_bipartite(3, 4), 3)
     assert not vertex_connectivity_at_least(Graph.complete_bipartite(3, 4), 4)
+    with pytest.raises(PreconditionError, match="^k must be nonnegative$"):
+        vertex_connectivity_at_least(Graph.complete(4), -1)
 
 
 def test_connectivity_conventions():

@@ -12,6 +12,7 @@ from halinlab.io_formats import (
     emit_certificate,
     emit_edge_list,
     emit_graph6,
+    load_graph,
     normalize_cycle,
     parse_certificate,
     parse_edge_list,
@@ -69,6 +70,18 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse_graph6("B\u00e9")  # a str with a non-ASCII character
     assert err.value.offset == 1
+    # Medium-form (4-byte) and long-form (8-byte) headers, cut short or
+    # holding a byte outside 63..126.
+    for data, message, offset in [
+        (b"~?", "truncated medium-form header", 2),
+        (b"~ ???", "corrupt medium-form header", 1),
+        (b"~~??", "truncated long-form header", 4),
+        (b"~~? ????", "corrupt long-form header", 3),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_graph6(data)
+        assert err.value.offset == offset
+        assert str(err.value) == f"{message} (at offset {offset})"
 
 
 @given(st.integers(0, 300), st.floats(0, 1), st.randoms(use_true_random=False))
@@ -155,6 +168,27 @@ def test_edge_list_rejects_duplicates_with_line():
     with pytest.raises(ParseError) as err:
         parse_edge_list("-3 0")
     assert err.value.offset == 1
+    # Each fault is named, at its line where it has one; a negative edge
+    # count is a malformed header too.
+    for text, message, offset in [
+        ("3", "header must be 'n <edge count>'", 1),
+        ("3 x", "non-integer header", 1),
+        ("3 -1", "negative edge count -1", 1),
+        ("3 2\n0 1", "expected 2 edge lines, found 1", None),
+        ("3 1\n0 1 2", "edge line must be 'u v'", 2),
+        ("3 1\n0 y", "non-integer vertex id", 2),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert err.value.offset == offset
+        assert str(err.value) == message + (f" (at offset {offset})" if offset else "")
+
+
+def test_load_graph_rejects_an_unknown_format(tmp_path):
+    path = tmp_path / "g.dot"
+    path.write_bytes(b"graph {}")
+    with pytest.raises(PreconditionError, match="unknown graph format 'dot'"):
+        load_graph(str(path), "dot")
 
 
 def test_normalize_cycle():

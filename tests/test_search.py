@@ -415,7 +415,6 @@ def test_find_hist_matches_tree_enumeration_oracle(g):
         search = _TreeSearch(g, cycle_mode, EXHAUSTIVE)
         for _ in search.hists():
             pass
-        assert search.deg == [0] * g.n
         assert search.tree == [0] * g.n
         assert search.avail == list(g._masks)
 
