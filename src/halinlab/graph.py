@@ -135,6 +135,8 @@ class Graph:
 
     @staticmethod
     def complete_bipartite(a: int, b: int) -> "Graph":
+        if a < 0 or b < 0:
+            raise PreconditionError("side sizes must be nonnegative")
         return Graph(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
     @staticmethod
@@ -149,6 +151,8 @@ class Graph:
 
     @staticmethod
     def star(leaves: int) -> "Graph":
+        if leaves < 0:
+            raise PreconditionError("leaf count must be nonnegative")
         return Graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 

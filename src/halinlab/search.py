@@ -35,13 +35,20 @@ leaf of T outside S: one without would force a cycle in T or a vertex
 with three neighbours in S.  C - S stays connected unless both vertices
 of S are leaves, and then T - S is connected.  So every vertex of T ∪ C
 has degree >= 3, and T ∪ C lies inside P: its tree edges in `avail`, its
-cycle edges between final leaves, which stay potential.  Going down the
-tree P only shrinks, and the parent node passed the rule, so a node
-checks only the vertices whose P-degree may just have dropped: the ends
-of an excluded edge, each vertex that just left the potential leaves,
-and those of its potential-leaf neighbours whose edge to it is no longer
-tree-available.  At the root P is the host, so a host vertex of degree
-<= 2 refutes it before the first node, and no vertex starts committed.
+cycle edges between final leaves, which stay potential.
+
+One incremental check, `_leaves_ok`, applies the leaf-cycle and P-degree
+rules at the root, at every node, and to each HIST's leaves before its
+walk.  Going down the tree P and the potential leaves only shrink, and
+the parent node passed the same check.  So past two bit counts (at least
+3 potential leaves, the side balance) a node looks only at the vertices
+whose counts may just have dropped: the ends of an excluded edge, each
+vertex just committed, each vertex w that just left the potential
+leaves, the committed leaves next to w, and those potential-leaf
+neighbours of w whose edge to it is no longer tree-available.  At the
+root P is the host and every vertex is looked at, so a host vertex of
+degree <= 2 refutes it before the first node, and no vertex starts
+committed.
 
 Each rule cuts only subtrees that hold no SGHG, so every certificate and
 every exhaustive count is the same as without them.  HIST search tracks
@@ -61,17 +68,17 @@ own include or exclude, or a forced include) and runs the same rules on
 each end at tree degree <= 2: the two degree rules, which cut the node
 when a vertex has fewer edges left than it needs, the forced leaf and
 leaf adjacency.  It repeats on each forced edge, up to a fixpoint; a
-forced edge that would close a cycle cuts the node, and the leaf-cycle
-and P-degree checks then run on the new state.  A trail holds what
-`saved[i]` does not restore: the included stack, the union-find root
-each included edge linked and, through the stack, the tree-neighbour
-masks.  The level that pushed an entry pops it when it is left.  The
-exclude branch of a forced edge holds no HIST, so deciding the edge
-early cuts only dead subtrees: HISTs, and so certificates, counts and
-the order solutions come in, are the same as without it.  A HIST that
-forcing completes early skips the exclusions that would have committed
-its leaves, so SGHG search runs the leaf-cycle check on its leaves, all
-committed, before it walks them.
+forced edge that would close a cycle cuts the node, and the leaf check
+then runs on the new state.  A trail holds what `saved[i]` does not
+restore: the included stack, the union-find root each included edge
+linked and, through the stack, the tree-neighbour masks.  The level
+that pushed an entry pops it when it is left.  The exclude branch of a
+forced edge holds no HIST, so deciding the edge early cuts only dead
+subtrees: HISTs, and so certificates, counts and the order solutions
+come in, are the same as without it.  A HIST that forcing completes
+early skips the exclusions that would have committed its leaves, so
+SGHG search runs the leaf check on its leaves, all committed, before
+it walks them.
 
 Only the root asks whether the whole host is connected.  Below it,
 `avail` was connected at the parent node, and a step removes at most one
@@ -81,13 +88,10 @@ reaches v: a walk that used (u, v) can go round by a u-v path instead.
 The exclusion step asks just that, with a reach from u that stops as
 soon as it has seen a neighbour of v.
 
-Two checks are skipped where they can only pass.  An exclusion of an
-edge whose ends the included edges already join (one with no include
-branch) runs no connectivity search: those edges stay in `avail`, so it
-stays as connected as at the parent node.  And the leaf-cycle check
-depends only on the potential and committed leaves, so a step that
-leaves both unchanged does not repeat it: the parent node passed it on
-the same masks, and the root passes it trivially.
+One check is skipped where it can only pass.  An exclusion of an edge
+whose ends the included edges already join (one with no include branch)
+runs no connectivity search: those edges stay in `avail`, so it stays as
+connected as at the parent node.
 
 One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
 oracle and the leaf cycles of SGHG search.  It walks a vertex mask of the
@@ -236,13 +240,15 @@ class _TreeSearch(_Meter):
         w = self.avail[v].bit_length() - 1
         return _reach(self.avail, u, self.full, 1 << w) >> w & 1
 
-    def _cycle_feasible(self, pot: int, com: int) -> bool:
-        """Can the committed leaves `com` still lie on one cycle through
-        potential leaves `pot`?"""
+    def _leaves_ok(self, pot: int, com: int, lost: int, suspects: int) -> bool:
+        """Can the committed leaves `com` still lie on one cycle through the
+        potential leaves `pot`, with every vertex keeping at least 3 edges
+        in P (`avail` plus every host edge inside `pot`)?  The parent node
+        passed the same check, so only what may just have changed is
+        looked at: `lost` has just left `pot`, and `suspects` lost an
+        `avail` edge or were just committed."""
         if pot.bit_count() < 3:
             return False
-        if not com:
-            return True
         side_a, side_b = self.sides
         if side_a and (
             (com & side_a).bit_count() > (pot & side_b).bit_count()
@@ -250,31 +256,22 @@ class _TreeSearch(_Meter):
         ):
             # The leaf cycle alternates sides, so |L & A| == |L & B|.
             return False
-        masks = self.g._masks
-        rest = com
-        while rest:
-            low = rest & -rest
-            if (masks[low.bit_length() - 1] & pot).bit_count() < 2:
-                return False
-            rest ^= low
-        return True
-
-    def _p_degrees_ok(self, pot: int, lost: int, suspects: int) -> bool:
-        """Does every vertex whose P-degree may just have dropped keep at
-        least 3?  P is `avail` plus every host edge inside `pot`; `lost`
-        has just left `pot`, and `suspects` lost an `avail` edge."""
         avail, masks = self.avail, self.g._masks
         while lost:
             low = lost & -lost
             w = low.bit_length() - 1
-            # w itself, and the potential leaves whose edge to w was in P
-            # only because both ends were potential leaves.
-            suspects |= low | (masks[w] & ~avail[w] & pot)
+            # w itself, the committed leaves that lost w as a potential
+            # cycle neighbour, and the potential leaves whose edge to w was
+            # in P only because both ends were potential leaves.
+            suspects |= low | (masks[w] & (com | ~avail[w] & pot))
             lost ^= low
         while suspects:
             low = suspects & -suspects
             x = low.bit_length() - 1
-            if (avail[x] | (masks[x] & pot if pot & low else 0)).bit_count() < 3:
+            near = masks[x] & pot
+            if (avail[x] | (near if pot & low else 0)).bit_count() < 3:
+                return False
+            if com & low and near.bit_count() < 2:
                 return False
             suspects ^= low
         return True
@@ -290,13 +287,12 @@ class _TreeSearch(_Meter):
         # An SGHG has at least 4 vertices.
         if self.n < (4 if cycle_mode else 1) or m < n1 or _reach(avail, 0, full) != full:
             return
-        tick, room, p_degrees_ok = self.tick, self.room, self._p_degrees_ok
-        joined, cycle_feasible = self._joined, self._cycle_feasible
-        forcing = self._forcing
+        tick, room, leaves_ok = self.tick, self.room, self._leaves_ok
+        joined, forcing = self._joined, self._forcing
         # At the root P is the host, so every vertex is checked once; after
         # this pass no vertex has host degree <= room, so none starts
         # committed.
-        if cycle_mode and not p_degrees_ok(full, 0, full):
+        if cycle_mode and not leaves_ok(full, 0, 0, full):
             return
         parent = list(range(self.n))
         rank = [1] * self.n
@@ -439,12 +435,11 @@ class _TreeSearch(_Meter):
                     a, b = b, a
                 include = True
             if feasible and cycle_mode:
-                # The parent node passed the leaf-cycle check on saved[i].
+                # The parent node passed the leaf check on saved[i].
                 pot0, com0, _, _ = saved[i]
-                feasible = (
-                    (potential == pot0 and committed == com0)
-                    or cycle_feasible(potential, committed)
-                ) and p_degrees_ok(potential, pot0 & ~potential, suspects)
+                feasible = leaves_ok(
+                    potential, committed, pot0 & ~potential, suspects | committed & ~com0
+                )
             if feasible:
                 i += 1
                 step[i] = _ENTER
@@ -456,9 +451,9 @@ class _TreeSearch(_Meter):
         """Hamiltonian cycles through the leaves of the current HIST, one
         per rotation/reflection class; their nodes count against the budget.
         Every leaf is final, so the walk starts only if the leaves pass the
-        leaf-cycle check with all of them committed."""
+        leaf check with all of them committed."""
         leaves = sum(1 << w for w in self.leaf_set())
-        if not self._cycle_feasible(leaves, leaves):
+        if not self._leaves_ok(leaves, leaves, 0, leaves):
             return iter(())
         start = (leaves & -leaves).bit_length() - 1
         return _ham_walks(self.g._masks, leaves, start, None, self.tick)

@@ -64,6 +64,18 @@ def test_rejects_bad_edges():
         assert str(err.value) == message
     with pytest.raises(PreconditionError, match="^cycle needs at least 3 vertices$"):
         Graph.cycle(2)
+    # A negative size raises rather than building some other graph.
+    for build, message in [
+        (lambda: Graph.complete(-1), "vertex count must be nonnegative"),
+        (lambda: Graph.empty(-1), "vertex count must be nonnegative"),
+        (lambda: Graph.path(-1), "vertex count must be nonnegative"),
+        (lambda: Graph.complete_bipartite(-1, 3), "side sizes must be nonnegative"),
+        (lambda: Graph.complete_bipartite(3, -1), "side sizes must be nonnegative"),
+        (lambda: Graph.star(-1), "leaf count must be nonnegative"),
+    ]:
+        with pytest.raises(PreconditionError) as err:
+            build()
+        assert str(err.value) == message
 
 
 @given(edge_lists(), st.data())

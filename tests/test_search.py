@@ -437,10 +437,28 @@ def reduced_hosts(draw):
     return reduce_instance(Graph(4, edges), x, y)[0]
 
 
+def _leaf_cycle_rules(search, pot, com):
+    """The leaf check with no P-degree rule, by a full rescan: at least 3
+    potential leaves, side balance, and two potential-leaf neighbours for
+    every committed leaf."""
+    masks = search.g._masks
+    side_a, side_b = search.sides
+    return (
+        pot.bit_count() >= 3
+        and (com & side_a).bit_count() <= (pot & side_b).bit_count()
+        and (com & side_b).bit_count() <= (pot & side_a).bit_count()
+        and all((masks[x] & pot).bit_count() >= 2 for x in range(search.n) if com >> x & 1)
+    )
+
+
 def _sghg_without_p_rule(g, budget):
     """find_sghg with the P-degree rule switched off, root exit included."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_TreeSearch, "_p_degrees_ok", lambda self, pot, lost, suspects: True)
+        mp.setattr(
+            _TreeSearch,
+            "_leaves_ok",
+            lambda self, pot, com, lost, suspects: _leaf_cycle_rules(self, pot, com),
+        )
         return find_sghg(g, budget)
 
 
@@ -553,9 +571,10 @@ def _with_whole_host_check(solver, g, budget):
         return solver(g, budget)
 
 
-def test_exclusion_check_answers_as_the_whole_host_check():
-    # `avail` is connected at the parent node, so after the exclusion of
-    # (u, v) it is connected iff u still reaches v.
+def _check_corpus():
+    """(solver, host, budget) cases: seeded random hosts on 4 to 10
+    vertices, the reduction instances of every host on 4 vertices, and
+    K_{4,5}."""
     rng = random.Random(27)
     hosts = [random_graph(rng, n, p) for n in range(4, 11) for p in (0.3, 0.5, 0.7, 0.9)]
     cases = [
@@ -571,13 +590,56 @@ def test_exclusion_check_answers_as_the_whole_host_check():
         for solver in (find_hist, find_sghg)
     ]
     k45 = Graph.complete_bipartite(4, 5)
-    cases += [(find_hist, k45, EXHAUSTIVE), (find_sghg, k45, UNBOUNDED)]
-    for solver, g, budget in cases:
+    return cases + [(find_hist, k45, EXHAUSTIVE), (find_sghg, k45, UNBOUNDED)]
+
+
+def test_exclusion_check_answers_as_the_whole_host_check():
+    # `avail` is connected at the parent node, so after the exclusion of
+    # (u, v) it is connected iff u still reaches v.
+    for solver, g, budget in _check_corpus():
         ours = solver(g, budget)
         whole = _with_whole_host_check(solver, g, budget)
         assert (ours.status, ours.nodes, ours.certificate, ours.solution_count) == (
             whole.status, whole.nodes, whole.certificate, whole.solution_count
         ), g.edges()
+
+
+def _with_full_leaf_check(g, budget, answers):
+    """find_sghg with each leaf check answered by a full rescan, every
+    committed leaf's two neighbours and every vertex's P-degree, asserting
+    that the incremental check gives the same answer; each answer is
+    added to `answers`."""
+    local = _TreeSearch._leaves_ok
+
+    def full(self, pot, com, lost, suspects):
+        masks, avail = self.g._masks, self.avail
+        answer = _leaf_cycle_rules(self, pot, com) and all(
+            (avail[x] | (masks[x] & pot if pot >> x & 1 else 0)).bit_count() >= 3
+            for x in range(self.n)
+        )
+        assert local(self, pot, com, lost, suspects) == answer, (g.edges(), pot, com)
+        answers.add(answer)
+        return answer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "_leaves_ok", full)
+        return find_sghg(g, budget)
+
+
+def test_leaf_check_answers_as_the_full_check():
+    # P only shrinks going down the tree and the parent node passed the
+    # check, so only the vertices that lost a potential neighbour or an
+    # `avail` edge, or were just committed, can newly fail it.
+    answers = set()
+    for solver, g, budget in _check_corpus():
+        if solver is not find_sghg:
+            continue
+        ours = find_sghg(g, budget)
+        full = _with_full_leaf_check(g, budget, answers)
+        assert (ours.status, ours.nodes, ours.certificate, ours.solution_count) == (
+            full.status, full.nodes, full.certificate, full.solution_count
+        ), g.edges()
+    assert answers == {False, True}
 
 
 @given(sghg_hosts(9, WITH_DENSE))
