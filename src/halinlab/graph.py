@@ -218,6 +218,24 @@ def colour_classes(g: Graph) -> tuple[int, int] | None:
     return classes[0], classes[1]
 
 
+def twin_masks(g: Graph) -> list[int]:
+    """For each vertex, the bitmask of its twin class, itself included.
+
+    Twins have equal open neighbourhoods (and are not adjacent) or equal
+    closed ones (and are adjacent).  A vertex cannot have one twin of each
+    kind, so the classes partition the vertices, and swapping two twins
+    is an automorphism of g.
+    """
+    masks = g._masks
+    opened: dict[int, int] = {}  # open neighbourhood -> its vertices
+    closed: dict[int, int] = {}  # closed neighbourhood -> its vertices
+    for v, mask in enumerate(masks):
+        bit = 1 << v
+        opened[mask] = opened.get(mask, 0) | bit
+        closed[mask | bit] = closed.get(mask | bit, 0) | bit
+    return [opened[mask] | closed[mask | 1 << v] for v, mask in enumerate(masks)]
+
+
 def edge_inside(g: Graph, *parts: Iterable[int]) -> Edge | None:
     """The lexicographically first edge with both ends in one of `parts`
     (disjoint vertex sets of g), or None."""

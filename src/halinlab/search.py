@@ -63,8 +63,10 @@ and none of degree 0, so:
 - a vertex at tree degree 0 with one edge in `avail` takes that edge.
 
 Level i decides edge `at[i]`, the lowest edge above its parent level's
-that no earlier level forced in.  One step applies an edge (the level's
-own include or exclude, or a forced include) and runs the same rules on
+that is still undecided: no earlier level forced it in or excluded it
+with an orbit (below).  One step applies an edge (the level's own
+include or exclude, an orbit exclusion, or a forced include) and runs
+the same rules on
 each end at tree degree <= 2: the two degree rules, which cut the node
 when a vertex has fewer edges left than it needs, the forced leaf and
 leaf adjacency.  It repeats on each forced edge, up to a fixpoint; a
@@ -81,17 +83,40 @@ SGHG search runs the leaf check on its leaves, all committed, before
 it walks them.
 
 Only the root asks whether the whole host is connected.  Below it,
-`avail` was connected at the parent node, and a step removes at most one
-edge from it, the level's own exclude (forced edges are only included).
-So after the exclusion of (u, v) `avail` stays connected iff u still
-reaches v: a walk that used (u, v) can go round by a u-v path instead.
-The exclusion step asks just that, with a reach from u that stops as
-soon as it has seen a neighbour of v.
+`avail` was connected at the parent node, and a step removes edges from
+it one at a time: the level's own exclude and, on the spine, its orbit
+(forced edges are only included).  So after each exclusion of (a, b)
+`avail` stays connected iff a still reaches b: a walk that used (a, b)
+can go round by an a-b path instead.  Each exclusion asks just that,
+right after its own removal, with a reach from a that stops as soon as
+it has seen a neighbour of b.
 
 One check is skipped where it can only pass.  An exclusion of an edge
 whose ends the included edges already join (one with no include branch)
 runs no connectivity search: those edges stay in `avail`, so it stays as
 connected as at the parent node.
+
+Orbit exclusion on the exclude spine.  A spine level is one whose
+ancestors all took their exclude branch.  While no solution has been
+found, every solution lies below each spine level; so once a spine
+level's include subtree has failed, its edge e is in no solution, and
+neither is any image of e under an automorphism of the host.  The search
+uses the automorphisms that swap twins, vertices with equal open or
+equal closed neighbour masks (`twin_masks`, built at the first spine
+return).  With X and Y the twin classes of e's ends, e's orbit is X × Y,
+or the pairs inside X when X = Y.  The level's exclude step excludes
+every still-undecided orbit edge with e, each through the endpoint rules
+and the connectivity check, its ends suspects for the leaf check.  An
+orbit edge already in the tree is in every solution, so there is none
+and the search ends.  The orbit exclusions need no trail: a spine
+level's exclude branch is the rest of the search, so they last until it
+ends, and go back into `avail` once then.  They also leave the edge list
+above `at[i]`, so no later level picks one.  Only edges in no solution
+go, so certificates, counts and the order solutions come in are
+unchanged.  `_solve` sets `found` at its first solution, and the rule
+stops there: in exhaustive mode a failed include subtree no longer means
+"in no solution".  On K_{a,b} the twin classes are the two sides, so the
+first spine return excludes every edge and ends the refutation.
 
 One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
 oracle and the leaf cycles of SGHG search.  It walks a vertex mask of the
@@ -104,7 +129,10 @@ and `find_sghg`.  `balanced_leaf_hist_exists` keeps its own loop, because
 it tests a predicate on each HIST and raises on a budget overrun.  It
 first asks a side degree count, `_leaf_balance_impossible`: where the
 count rules out a balanced HIST it answers False with no walk, and
-elsewhere the walk over every HIST decides.
+elsewhere the walk over the HISTs decides.  It sets no `found`, since
+it stops at its first balanced HIST, and the orbit rule holds for it
+too: twins of a connected bipartite host lie on one side, so a twin swap
+keeps a HIST's leaf balance.
 Budgets make "unknown" a first-class outcome distinct from a proved
 "none"; a certificate found before the budget ran out is still "found",
 but its `solution_count` stays None, because a count is reported only
@@ -120,7 +148,15 @@ from typing import Callable, Iterator, Sequence
 
 from .certify import HalinCertificate, TreeCertificate
 from .errors import BudgetExhausted, PreconditionError
-from .graph import Graph, VertexSetPair, _reach, colour_classes, edge_inside
+from .graph import (
+    Graph,
+    VertexSetPair,
+    _bits,
+    _reach,
+    colour_classes,
+    edge_inside,
+    twin_masks,
+)
 
 #: Accepted search modes, in the order the CLI lists them.  "exhaustive"
 #: enumerates and counts every solution; the others stop at the first,
@@ -224,6 +260,10 @@ class _TreeSearch(_Meter):
         # tracks no leaves: with room 0 exclusions run only the dead-end check.
         self.room = 2 if cycle_mode else 0
         self.sides = (colour_classes(g) or (0, 0)) if cycle_mode else (0, 0)
+        # Set by the caller once it has a solution: from then on a failed
+        # include subtree no longer means "in no solution".
+        self.found = False
+        self.twins: list[int] | None = None  # built at the first spine return
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -276,19 +316,44 @@ class _TreeSearch(_Meter):
             suspects ^= low
         return True
 
+    def _orbit(self, u: int, v: int) -> list[tuple[int, int]] | None:
+        """The undecided edges of (u, v)'s orbit under twin swaps, (u, v)
+        itself left out, or None if one of them is in the tree.
+
+        With X and Y the twin classes of u and v, the orbit is X × Y, or
+        the pairs inside X when X = Y (a class of adjacent twins)."""
+        if self.twins is None:
+            self.twins = twin_masks(self.g)
+        xs, ys = self.twins[u], self.twins[v]
+        if xs | ys == 1 << u | 1 << v:
+            return []  # no other twins: the orbit is (u, v) alone
+        avail, tree = self.avail, self.tree
+        drop = []
+        for a in _bits(xs):
+            row = ys & -(2 << a) if xs == ys else ys
+            if tree[a] & row:
+                return None
+            drop += [(a, b) if a < b else (b, a) for b in _bits(avail[a] & row)]
+        drop.remove((u, v))
+        return drop
+
     # -- search ------------------------------------------------------------
 
     def hists(self) -> Iterator[list[tuple[int, int]]]:
         """Yield the include stack at every spanning HIST, in lexicographic
         order.  The stack and the tree-neighbour masks `tree`, whose bit
-        counts are the tree degrees, describe that HIST until it resumes."""
+        counts are the tree degrees, describe that HIST until it resumes.
+
+        Until the caller sets `found`, the spine's orbit exclusion takes
+        every HIST yielded so far as no solution: a caller that counts
+        solutions sets it at the first one it keeps."""
         n1, m, cycle_mode, full = self.n - 1, self.m, self.cycle_mode, self.full
         edges, avail, tree = self.edges, self.avail, self.tree
         # An SGHG has at least 4 vertices.
         if self.n < (4 if cycle_mode else 1) or m < n1 or _reach(avail, 0, full) != full:
             return
         tick, room, leaves_ok = self.tick, self.room, self._leaves_ok
-        joined, forcing = self._joined, self._forcing
+        joined, forcing, orbit = self._joined, self._forcing, self._orbit
         # At the root P is the host, so every vertex is checked once; after
         # this pass no vertex has host degree <= room, so none starts
         # committed.
@@ -305,8 +370,17 @@ class _TreeSearch(_Meter):
         # and, in SGHG search, not the tree neighbour of a committed leaf);
         # committed: vertices that must end as leaves.
         potential, committed = full, 0
+        # Level `spine` is the deepest spine level: every level above it
+        # took its exclude branch, and keeps it until the search ends.
+        # `drop` holds the orbit edges a spine level's exclude step has
+        # still to exclude.
+        # `orbits` holds the orbit edges excluded so far, restored when the
+        # search ends.
+        spine = 0
+        drop: list[tuple[int, int]] | None = []
+        orbits: list[tuple[int, int]] = []
         # Level i decides edge at[i], the lowest edge above the parent
-        # level's that no earlier level forced in; `saved` holds the leaf
+        # level's that is still undecided; `saved` holds the leaf
         # masks, `needy` and the trail length to restore when it is left.
         step = [_ENTER] * (m + 1)
         at = [0] * m
@@ -327,7 +401,7 @@ class _TreeSearch(_Meter):
                     continue
                 # `avail` stays connected, so once no edge is undecided the
                 # included edges span the host: an edge is still missing,
-                # so this scan stops before m.
+                # so this scan stops before the end of `edges`.
                 e = at[i - 1] + 1 if i else 0
                 u, v = edges[e]
                 while tree[u] >> v & 1:
@@ -359,14 +433,34 @@ class _TreeSearch(_Meter):
                     i -= 1
                     continue
                 include = False
+                if i == spine:
+                    # The level below is a spine level too.
+                    spine += 1
+                    if not self.found:
+                        # A spine level's include subtree failed, and every
+                        # solution lies below its parent, so no solution holds
+                        # (u, v) or any edge of its orbit.
+                        drop = orbit(u, v)
+                        if drop is None:
+                            # An orbit edge is in every solution: there is none.
+                            i -= 1
+                            continue
+                        if drop:
+                            # They stay excluded to the end of the search, so
+                            # no later level may pick one: they leave the edge
+                            # list above at[i].
+                            gone = set(drop)
+                            e = at[i] + 1
+                            edges = edges[:e] + [x for x in edges[e:] if x not in gone]
             # Include first: level i comes back to undo it, then excludes.
             step[i] = _INCLUDED if include else _EXCLUDED
             suspects = 0 if include else 1 << u | 1 << v
             feasible = True
             force = 0  # vertices with exactly one undecided edge they need
             a, b = u, v
-            # Decide (a, b): the level's own edge, then each forced include,
-            # to a fixpoint.  An include links the roots ru and rv.
+            # Decide (a, b): the level's own edge, then each orbit edge in
+            # `drop`, then each forced include, to a fixpoint.  An include
+            # links the roots ru and rv.
             while True:
                 if include:
                     if rank[ru] > rank[rv]:
@@ -405,11 +499,22 @@ class _TreeSearch(_Meter):
                         committed |= 1 << w
                         potential &= ~tree[w]
                 if not include:
-                    # Only the level's own edge is ever excluded, so (a, b)
-                    # is (u, v).  A cycle-closing exclusion (entered, not
-                    # after an include) keeps u and v joined by included
-                    # edges, all in avail.
-                    feasible = feasible and (s == _ENTER or joined(u, v))
+                    if s == _ENTER:
+                        # A cycle-closing exclusion (no include branch) keeps
+                        # u and v joined by included edges, all in avail.  On
+                        # the spine, the level below is a spine level too.
+                        if i == spine:
+                            spine += 1
+                    else:
+                        # Each orbit edge is excluded in turn; a cut on the
+                        # spine ends the search, so what is left of `drop`
+                        # is never read.
+                        feasible = feasible and joined(a, b)
+                        if drop and feasible:
+                            a, b = drop.pop()
+                            orbits.append((a, b))
+                            suspects |= 1 << a | 1 << b
+                            continue
                 if not (feasible and force and forcing):
                     break
                 rest = 0
@@ -443,6 +548,11 @@ class _TreeSearch(_Meter):
             if feasible:
                 i += 1
                 step[i] = _ENTER
+        # Every level restored its own edge; the orbit exclusions, which last
+        # to the end of the search, are restored here.
+        for a, b in orbits:
+            avail[a] |= 1 << b
+            avail[b] |= 1 << a
 
     def leaf_set(self) -> list[int]:
         return [w for w, t in enumerate(self.tree) if t.bit_count() == 1]
@@ -537,6 +647,7 @@ def _solve(g: Graph, budget: SearchBudget, cycle_mode: bool) -> SearchResult:
                 if first is None:
                     tree = TreeCertificate(g.n, tree_edges)
                     first = tree if cycle is None else HalinCertificate(tree, cycle)
+                    search.found = True
                     if not budget.exhaustive:
                         return SearchResult("found", first, search.nodes)
     except BudgetExhausted:
@@ -604,8 +715,11 @@ def balanced_leaf_hist_exists(
     The partition must be a genuine bipartition (spanning, no internal
     edges).  When the side degree count (`_leaf_balance_impossible`)
     rules a balanced HIST out, the answer is False at once and the budget
-    is not touched; otherwise a walk over every HIST of g decides, and a
-    budget overrun during it raises BudgetExhausted.
+    is not touched; otherwise a walk over the HISTs of g decides, and a
+    budget overrun during it raises BudgetExhausted.  The walk's orbit
+    exclusion skips only HISTs that a twin swap maps onto ones it has
+    already ruled out; twins lie on one side, so they are not balanced
+    either.
     """
     left, right = partition.left, partition.right
     if left | right != set(range(g.n)):

@@ -181,6 +181,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     )
 
 
+def blow_up(h: Graph, sizes, cliques=()) -> Graph:
+    """Each vertex x of h becomes a class of sizes[x] vertices, numbered
+    class by class: a clique if x is in `cliques`, else an independent set.
+    The classes of adjacent vertices of h are completely joined."""
+    starts = [sum(sizes[:x]) for x in range(h.n + 1)]
+    cls = [range(starts[x], starts[x + 1]) for x in range(h.n)]
+    edges = [e for x in cliques for e in combinations(cls[x], 2)]
+    edges += [(u, v) for x, y in h.edges() for u in cls[x] for v in cls[y]]
+    return Graph(starts[-1], edges)
+
+
 def random_graph_min_degree(rng: random.Random, n: int, dmin: int, p: float) -> Graph:
     """G(n,p) patched by joining deficient vertices to random non-neighbors."""
     g = random_graph(rng, n, p)

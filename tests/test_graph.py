@@ -16,13 +16,14 @@ from halinlab.graph import (
     colour_classes,
     degree_between,
     edge_inside,
+    twin_masks,
     vertex_connectivity,
     vertex_connectivity_at_least,
 )
 from halinlab.hamiltonicity import moon_moser_cycle
 from halinlab.search import balanced_leaf_hist_exists
 
-from oracles import cut_connectivity_at_least, random_graph, to_networkx
+from oracles import blow_up, cut_connectivity_at_least, random_graph, to_networkx
 
 
 @st.composite
@@ -336,3 +337,31 @@ def test_bipartition_has_no_internal_edges(g):
             ] == g.edge_count
     for u, v in g.edges():
         assert (u in pair.left) != (v in pair.left)
+
+
+@st.composite
+def blow_ups(draw):
+    """A graph on at most 4 vertices with each vertex blown up into a class
+    of 1 to 3 independent or adjacent twins."""
+    h = draw(graphs(4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=h.n, max_size=h.n))
+    cliques = draw(st.sets(st.integers(0, max(0, h.n - 1)), max_size=h.n))
+    return blow_up(h, sizes, cliques)
+
+
+@given(st.one_of(graphs(), blow_ups()))
+@settings(max_examples=200, deadline=None)
+def test_twin_classes_match_a_pair_check(g):
+    # u and v are twins iff N(u) - v == N(v) - u, adjacent or not; swapping
+    # two twins maps the host's masks onto themselves.
+    masks = g._masks
+    classes = twin_masks(g)
+    for u in range(g.n):
+        pairs = [v for v in range(g.n) if masks[u] & ~(1 << v) == masks[v] & ~(1 << u)]
+        assert classes[u] == sum(1 << v for v in pairs), (g.edges(), u)
+        for v in pairs:
+            swap = list(range(g.n))
+            swap[u], swap[v] = v, u
+            renamed = [sum(1 << swap[x] for x in range(g.n) if masks[w] >> x & 1)
+                       for w in swap]
+            assert renamed == list(masks), (g.edges(), u, v)

@@ -22,6 +22,7 @@ from halinlab.search import (
     EXHAUSTIVE,
     UNBOUNDED,
     SearchBudget,
+    MODES,
     _TreeSearch,
     _ham_walks,
     _leaf_balance_impossible,
@@ -31,7 +32,14 @@ from halinlab.search import (
     ham_path_oracle,
 )
 
-from oracles import brute_ham_path, iter_hists, naive_sghg, random_graph, tree_degrees
+from oracles import (
+    blow_up,
+    brute_ham_path,
+    iter_hists,
+    naive_sghg,
+    random_graph,
+    tree_degrees,
+)
 
 PETERSEN = Graph(
     10,
@@ -40,6 +48,12 @@ PETERSEN = Graph(
         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
         (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
     ],
+)
+
+# 3K_2 joined to three vertices: twin classes {0, 1}, {2, 3}, {4, 5} and
+# {6, 7, 8}, and no SGHG.
+THREE_K2_JOIN_3 = Graph(
+    9, [(0, 1), (2, 3), (4, 5)] + [(u, v) for u in range(6) for v in range(6, 9)]
 )
 
 # The 3-cube Q_3: vertices are 3-bit strings, adjacent when they differ in
@@ -125,7 +139,7 @@ def test_budget_accepts_every_mode_string():
 
 
 def test_time_limit_expires_as_unknown():
-    # The full refutation of K_{5,7} takes 707,758 nodes, seconds rather
+    # The full refutation of K_{5,7} takes 256,267 nodes, about a second rather
     # than the 0.05 s allowed; the deadline is read every 1,024 nodes.
     r = find_sghg(Graph.complete_bipartite(5, 7), SearchBudget(time_limit=0.05))
     assert (r.status, r.certificate, r.solution_count) == ("unknown", None, None)
@@ -145,7 +159,12 @@ def test_budget_overrun_reports_no_partial_count():
 @pytest.mark.parametrize(
     "solver, g, budget, status, nodes, count",
     [
-        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 1_962, 0),
+        # K_{a,b} and 3K_2 joined to three vertices, refuted with the orbit
+        # exclusion on the exclude spine.
+        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, "none", 886, 0),
+        (find_sghg, Graph.complete_bipartite(4, 6), UNBOUNDED, "none", 2_454, 0),
+        (find_sghg, Graph.complete_bipartite(4, 7), UNBOUNDED, "none", 5_954, 0),
+        (find_sghg, THREE_K2_JOIN_3, UNBOUNDED, "none", 2_948, 0),
         (find_sghg, Graph.complete(6), EXHAUSTIVE, "found", 2_492, 342),
         (find_hist, Graph.complete(5), EXHAUSTIVE, "found", 76, 5),
         (find_sghg, Graph.complete(7), UNBOUNDED, "found", 13, None),
@@ -165,7 +184,8 @@ def test_budget_overrun_reports_no_partial_count():
         (find_hist, Graph.complete_bipartite(4, 6), EXHAUSTIVE, "found", 36_701, 744),
     ],
     # Fixed ids: a re-pin changes the numbers, never the test names.
-    ids=["sghg-K4,5", "sghg-K6-exhaustive", "hist-K5-exhaustive", "sghg-K7", "hist-K3,4",
+    ids=["sghg-K4,5", "sghg-K4,6", "sghg-K4,7", "sghg-3K2-join-3", "sghg-K6-exhaustive",
+         "hist-K5-exhaustive", "sghg-K7", "hist-K3,4",
          "sghg-K4,4-exhaustive", "sghg-reduced-K5-minus-edge", "hist-petersen-exhaustive",
          "hist-Q3-exhaustive", "hist-C8", "hist-K4,6-exhaustive"],
 )
@@ -289,6 +309,7 @@ def _balanced_walk(g, left):
         trees = iter_hists(g)
     else:
         search = _TreeSearch(g, False, UNBOUNDED)
+        search.found = True  # no orbit exclusion: every HIST is read
         trees = search.hists()
     for edges in trees:
         leaves = [v for v, d in enumerate(tree_degrees(g.n, edges)) if d == 1]
@@ -334,6 +355,7 @@ def test_sharp_family_has_no_balanced_leaf_hist_by_search():
         assert _leaf_balance_impossible(a, b)
         g = Graph.complete_bipartite(a, b)
         search = _TreeSearch(g, False, UNBOUNDED)
+        search.found = True  # no orbit exclusion: every HIST is read
         for _ in search.hists():
             leaves = search.leaf_set()
             assert 2 * sum(1 for v in leaves if v < a) != len(leaves), (a, b)
@@ -522,10 +544,11 @@ def test_forcing_off_is_the_plain_search():
     # With propagation switched off, K_{4,5} and the Petersen graph take
     # the node counts pinned before it landed: the switch reaches the
     # kernel, and the rest of the search is as it was.  k5e's count is
-    # that of the leaf-cycle check as it stands, with no component test.
+    # that of the leaf-cycle check as it stands, with no component test;
+    # K_{4,5}'s, 4,198 before, is that of the search with orbit exclusion.
     k5e = reduce_instance(parse_graph6(b"D~["), 0, 4)[0]
     for solver, g, budget, nodes in [
-        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, 4_198),
+        (find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED, 1_868),
         (find_sghg, k5e, UNBOUNDED, 5_542),
         (find_hist, PETERSEN, EXHAUSTIVE, 201),
     ]:
@@ -552,7 +575,8 @@ def test_cycle_closing_exclusions_skip_the_connectivity_search():
     # An exclusion whose ends the included edges already join keeps `avail`
     # connected, so it runs no search.  Node counts cannot show the skip;
     # these call counts do (the root's whole-host check is not counted).
-    assert _exclusion_checks(find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED) == 1_391
+    # On K_{4,5} they count each orbit edge's check too.
+    assert _exclusion_checks(find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED) == 599
     assert _exclusion_checks(find_sghg, Graph.complete(6), EXHAUSTIVE) == 381
 
 
@@ -571,10 +595,32 @@ def _with_whole_host_check(solver, g, budget):
         return solver(g, budget)
 
 
+def _twin_rich_hosts():
+    """Hosts whose twin swaps generate many automorphisms: K_{a,b},
+    blow-ups of paths, complete multipartite graphs, K_{a,b} with edges or
+    a clique inside one side, 3K_2 joined to three vertices, and seeded
+    blow-ups of small graphs into independent or clique classes."""
+    hosts = [Graph.complete_bipartite(a, b)
+             for a, b in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5))]
+    hosts += [blow_up(Graph.path(5), (2, 1, 1, 3, 1)), blow_up(Graph.path(4), (1, 2, 3, 2))]
+    hosts += [blow_up(Graph.complete(len(s)), s) for s in ((2, 2, 2), (1, 2, 3), (1, 1, 2, 3))]
+    k35 = Graph.complete_bipartite(3, 5).edges()
+    hosts += [Graph(8, k35 + [(0, 1)]), Graph(8, k35 + [(3, 4), (5, 6)]),
+              blow_up(Graph.path(2), (3, 4), cliques={0})]
+    hosts.append(THREE_K2_JOIN_3)
+    rng = random.Random(30)
+    while len(hosts) < 40:
+        h = random_graph(rng, rng.randrange(2, 5), 0.6)
+        sizes = [rng.randrange(1, 4) for _ in range(h.n)]
+        if sum(sizes) <= 9:
+            hosts.append(blow_up(h, sizes, {x for x in range(h.n) if rng.random() < 0.4}))
+    return hosts
+
+
 def _check_corpus():
     """(solver, host, budget) cases: seeded random hosts on 4 to 10
-    vertices, the reduction instances of every host on 4 vertices, and
-    K_{4,5}."""
+    vertices, the reduction instances of every host on 4 vertices, the
+    twin-rich hosts in every mode, and K_{4,5}."""
     rng = random.Random(27)
     hosts = [random_graph(rng, n, p) for n in range(4, 11) for p in (0.3, 0.5, 0.7, 0.9)]
     cases = [
@@ -588,6 +634,13 @@ def _check_corpus():
         for g in iter_all_graphs(4)
         for x, y in combinations(range(4), 2)
         for solver in (find_hist, find_sghg)
+    ]
+    cases += [
+        (solver, g, SearchBudget(mode=mode))
+        for g in _twin_rich_hosts()
+        for solver in (find_hist, find_sghg)
+        for mode in MODES
+        if mode != "exhaustive" or g.n <= 8
     ]
     k45 = Graph.complete_bipartite(4, 5)
     return cases + [(find_hist, k45, EXHAUSTIVE), (find_sghg, k45, UNBOUNDED)]
@@ -640,6 +693,85 @@ def test_leaf_check_answers_as_the_full_check():
             full.status, full.nodes, full.certificate, full.solution_count
         ), g.edges()
     assert answers == {False, True}
+
+
+def _without_orbits(run):
+    """run() with the spine's orbit exclusion switched off: every vertex
+    its own twin class, so no orbit holds more than the level's own edge."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("halinlab.search.twin_masks", lambda g: [1 << v for v in range(g.n)])
+        return run()
+
+
+def _with_tree_in_avail(run):
+    """run() asserting at every node that each tree edge is still
+    available: the level scan never picks an excluded edge, and no orbit
+    exclusion takes a tree edge."""
+    tick = _TreeSearch.tick
+
+    def checked(self):
+        assert all(t & ~a == 0 for t, a in zip(self.tree, self.avail)), self.g.edges()
+        tick(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "tick", checked)
+        return run()
+
+
+def test_orbit_exclusion_cuts_only_dead_branches():
+    # A spine level's failed include subtree puts its edge in no solution,
+    # and so every edge of its orbit: status, certificate and count stay.
+    cut = False
+    for solver, g, budget in _check_corpus():
+        ours = _with_tree_in_avail(lambda: solver(g, budget))
+        plain = _without_orbits(lambda: solver(g, budget))
+        assert (ours.status, ours.certificate, ours.solution_count) == (
+            plain.status, plain.certificate, plain.solution_count
+        ), (solver.__name__, budget.mode, g.edges())
+        assert ours.nodes <= plain.nodes, (solver.__name__, budget.mode, g.edges())
+        cut = cut or ours.nodes < plain.nodes
+    assert cut
+
+
+def _balanced_nodes(g, sides):
+    """balanced_leaf_hist_exists(g, sides) and the nodes its walk took."""
+    nodes = 0
+    tick = _TreeSearch.tick
+
+    def counted(self):
+        nonlocal nodes
+        nodes += 1
+        tick(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "tick", counted)
+        return balanced_leaf_hist_exists(g, sides), nodes
+
+
+def test_balanced_leaf_walk_keeps_its_answer_with_orbit_exclusion():
+    # Twins of a connected bipartite host lie on one side, so a twin swap
+    # keeps a HIST's leaf balance.  Blow-ups of small bipartite graphs into
+    # independent classes that the side count does not settle.
+    small = [Graph.path(3), Graph.path(4), Graph.path(5), Graph.cycle(4),
+             Graph.cycle(6), Graph.star(3)]
+    rng = random.Random(31)
+    cut = False
+    answers = []
+    while len(answers) < 40:
+        h = rng.choice(small)
+        g = blow_up(h, [rng.randrange(1, 4) for _ in range(h.n)])
+        sides = bipartition(g)
+        if g.n > 9 or _leaf_balance_impossible(len(sides.left), len(sides.right)):
+            continue
+        ours, nodes = _balanced_nodes(g, sides)
+        plain, plain_nodes = _without_orbits(lambda: _balanced_nodes(g, sides))
+        assert ours is plain, g.edges()
+        if g.n <= 7:
+            assert ours is _balanced_walk(g, sides.left), g.edges()
+        assert nodes <= plain_nodes, g.edges()
+        cut = cut or nodes < plain_nodes
+        answers.append(ours)
+    assert cut and set(answers) == {False, True}
 
 
 @given(sghg_hosts(9, WITH_DENSE))
