@@ -66,21 +66,25 @@ Level i decides edge `at[i]`, the lowest edge above its parent level's
 that is still undecided: no earlier level forced it in or excluded it
 with an orbit (below).  One step applies an edge (the level's own
 include or exclude, an orbit exclusion, or a forced include) and runs
-the same rules on
-each end at tree degree <= 2: the two degree rules, which cut the node
-when a vertex has fewer edges left than it needs, the forced leaf and
-leaf adjacency.  It repeats on each forced edge, up to a fixpoint; a
-forced edge that would close a cycle cuts the node, and the leaf check
-then runs on the new state.  A trail holds what `saved[i]` does not
-restore: the included stack, the union-find root each included edge
-linked and, through the stack, the tree-neighbour masks.  The level
-that pushed an entry pops it when it is left.  The exclude branch of a
-forced edge holds no HIST, so deciding the edge early cuts only dead
-subtrees: HISTs, and so certificates, counts and the order solutions
-come in, are the same as without it.  A HIST that forcing completes
-early skips the exclusions that would have committed its leaves, so
-SGHG search runs the leaf check on its leaves, all committed, before
-it walks them.
+the same rules on each end at tree degree <= 2: the two degree rules,
+which cut the node when a vertex has fewer edges left than it needs, the
+forced leaf and leaf adjacency.  It repeats on each forced edge, up to a
+fixpoint; a forced edge that would close a cycle cuts the node, and the
+leaf check then runs on the new state.  The exclude branch of a forced
+edge holds no HIST, so deciding the edge early cuts only dead subtrees:
+HISTs, and so certificates, counts and the order solutions come in, are
+the same as without it.  A HIST that forcing completes early skips the
+exclusions that would have committed its leaves, so SGHG search runs the
+leaf check on its leaves, all committed, before it walks them.
+
+Every decided edge goes on one trail as (a, b, r): r is the union-find
+root an include linked, or -1 for an exclusion.  `saved[i]` keeps level
+i's scalars (the leaf masks, `needy`, the included count and the trail
+length), and leaving the level restores them and pops the trail back to
+that length: each include gives back its tree bits and its union-find
+link, each exclusion its `avail` bits.  A tree edge stays in `avail`, so
+bit v of `avail[u] ^ tree[u]` is set iff (u, v) is undecided: the level
+scan needs one test per edge, and the edge list never changes.
 
 Only the root asks whether the whole host is connected.  Below it,
 `avail` was connected at the parent node, and a step removes edges from
@@ -108,11 +112,9 @@ or the pairs inside X when X = Y.  The level's exclude step excludes
 every still-undecided orbit edge with e, each through the endpoint rules
 and the connectivity check, its ends suspects for the leaf check.  An
 orbit edge already in the tree is in every solution, so there is none
-and the search ends.  The orbit exclusions need no trail: a spine
-level's exclude branch is the rest of the search, so they last until it
-ends, and go back into `avail` once then.  They also leave the edge list
-above `at[i]`, so no later level picks one.  Only edges in no solution
-go, so certificates, counts and the order solutions come in are
+and the search ends.  The orbit exclusions go on the trail like any
+other decision, and the level scan passes over them.  Only edges in no
+solution go, so certificates, counts and the order solutions come in are
 unchanged.  `_solve` sets `found` at its first solution, and the rule
 stops there: in exhaustive mode a failed include subtree no longer means
 "in no solution".  On K_{a,b} the twin classes are the two sides, so the
@@ -340,9 +342,10 @@ class _TreeSearch(_Meter):
     # -- search ------------------------------------------------------------
 
     def hists(self) -> Iterator[list[tuple[int, int]]]:
-        """Yield the include stack at every spanning HIST, in lexicographic
-        order.  The stack and the tree-neighbour masks `tree`, whose bit
-        counts are the tree degrees, describe that HIST until it resumes.
+        """Yield the included edges of every spanning HIST, in lexicographic
+        order, each time as a new list.  The tree-neighbour masks `tree`,
+        whose bit counts are the tree degrees, describe that HIST until it
+        resumes.
 
         Until the caller sets `found`, the spine's orbit exclusion takes
         every HIST yielded so far as no solution: a caller that counts
@@ -361,10 +364,10 @@ class _TreeSearch(_Meter):
             return
         parent = list(range(self.n))
         rank = [1] * self.n
-        # The trail: the included edges, own and forced, and for each the
-        # union-find root it linked.
-        included: list[tuple[int, int]] = []
-        links: list[int] = []
+        # The trail of decided edges: (a, b, r) for an include that linked
+        # the union-find root r, (a, b, -1) for an exclusion.
+        trail: list[tuple[int, int, int]] = []
+        size = 0  # included edges
         needy = 0  # vertices currently at tree-degree exactly 2
         # potential: vertices that may still end as leaves (tree degree <= 1
         # and, in SGHG search, not the tree neighbour of a committed leaf);
@@ -374,26 +377,24 @@ class _TreeSearch(_Meter):
         # took its exclude branch, and keeps it until the search ends.
         # `drop` holds the orbit edges a spine level's exclude step has
         # still to exclude.
-        # `orbits` holds the orbit edges excluded so far, restored when the
-        # search ends.
         spine = 0
         drop: list[tuple[int, int]] | None = []
-        orbits: list[tuple[int, int]] = []
         # Level i decides edge at[i], the lowest edge above the parent
-        # level's that is still undecided; `saved` holds the leaf
-        # masks, `needy` and the trail length to restore when it is left.
+        # level's that is still undecided; `saved` holds the leaf masks,
+        # `needy`, the included count and the trail length to restore when
+        # it is left.
         step = [_ENTER] * (m + 1)
         at = [0] * m
-        saved = [(0, 0, 0, 0)] * m
+        saved = [(0, 0, 0, 0, 0)] * m
         i = 0
         while i >= 0:
             s = step[i]
             if s == _ENTER:
                 tick()
-                missing = n1 - len(included)
+                missing = n1 - size
                 if missing == 0:
                     if needy == 0:
-                        yield included
+                        yield [(a, b) for a, b, r in trail if r >= 0]
                     i -= 1
                     continue
                 if needy > 2 * missing:
@@ -404,7 +405,7 @@ class _TreeSearch(_Meter):
                 # so this scan stops before the end of `edges`.
                 e = at[i - 1] + 1 if i else 0
                 u, v = edges[e]
-                while tree[u] >> v & 1:
+                while not (avail[u] ^ tree[u]) >> v & 1:
                     e += 1
                     u, v = edges[e]
                 at[i] = e
@@ -414,24 +415,25 @@ class _TreeSearch(_Meter):
                 rv = v
                 while parent[rv] != rv:
                     rv = parent[rv]
-                saved[i] = (potential, committed, needy, len(included))
+                saved[i] = (potential, committed, needy, size, len(trail))
                 include = ru != rv
             else:  # back at level i: undo the branch just finished
-                potential, committed, needy, mark = saved[i]
-                while len(included) > mark:
-                    a, b = included.pop()
-                    tree[a] ^= 1 << b
-                    tree[b] ^= 1 << a
-                    r = links.pop()
-                    q = parent[r]
-                    parent[r] = r
-                    rank[q] -= rank[r]
-                u, v = edges[at[i]]
+                potential, committed, needy, size, mark = saved[i]
+                while len(trail) > mark:
+                    a, b, r = trail.pop()
+                    if r < 0:
+                        avail[a] |= 1 << b
+                        avail[b] |= 1 << a
+                    else:
+                        tree[a] ^= 1 << b
+                        tree[b] ^= 1 << a
+                        q = parent[r]
+                        parent[r] = r
+                        rank[q] -= rank[r]
                 if s == _EXCLUDED:
-                    avail[u] |= 1 << v
-                    avail[v] |= 1 << u
                     i -= 1
                     continue
+                u, v = edges[at[i]]
                 include = False
                 if i == spine:
                     # The level below is a spine level too.
@@ -445,13 +447,6 @@ class _TreeSearch(_Meter):
                             # An orbit edge is in every solution: there is none.
                             i -= 1
                             continue
-                        if drop:
-                            # They stay excluded to the end of the search, so
-                            # no later level may pick one: they leave the edge
-                            # list above at[i].
-                            gone = set(drop)
-                            e = at[i] + 1
-                            edges = edges[:e] + [x for x in edges[e:] if x not in gone]
             # Include first: level i comes back to undo it, then excludes.
             step[i] = _INCLUDED if include else _EXCLUDED
             suspects = 0 if include else 1 << u | 1 << v
@@ -467,11 +462,12 @@ class _TreeSearch(_Meter):
                         ru, rv = rv, ru
                     parent[ru] = rv
                     rank[rv] += rank[ru]
-                    links.append(ru)
-                    included.append((a, b))
+                    trail.append((a, b, ru))
+                    size += 1
                     tree[a] |= 1 << b
                     tree[b] |= 1 << a
                 else:
+                    trail.append((a, b, -1))
                     avail[a] &= ~(1 << b)
                     avail[b] &= ~(1 << a)
                 for w in (a, b):
@@ -512,7 +508,6 @@ class _TreeSearch(_Meter):
                         feasible = feasible and joined(a, b)
                         if drop and feasible:
                             a, b = drop.pop()
-                            orbits.append((a, b))
                             suspects |= 1 << a | 1 << b
                             continue
                 if not (feasible and force and forcing):
@@ -540,19 +535,16 @@ class _TreeSearch(_Meter):
                     a, b = b, a
                 include = True
             if feasible and cycle_mode:
-                # The parent node passed the leaf check on saved[i].
-                pot0, com0, _, _ = saved[i]
+                # The parent node passed the leaf check with the potential
+                # leaves in saved[i].  A vertex is first committed at the
+                # exclusion of an edge at it (only exclusions lower |avail|),
+                # so each vertex just committed is already a suspect.
                 feasible = leaves_ok(
-                    potential, committed, pot0 & ~potential, suspects | committed & ~com0
+                    potential, committed, saved[i][0] & ~potential, suspects
                 )
             if feasible:
                 i += 1
                 step[i] = _ENTER
-        # Every level restored its own edge; the orbit exclusions, which last
-        # to the end of the search, are restored here.
-        for a, b in orbits:
-            avail[a] |= 1 << b
-            avail[b] |= 1 << a
 
     def leaf_set(self) -> list[int]:
         return [w for w, t in enumerate(self.tree) if t.bit_count() == 1]

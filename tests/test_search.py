@@ -431,14 +431,37 @@ def test_find_hist_matches_tree_enumeration_oracle(g):
         assert tuple(sorted(got.certificate.edges)) == min(expected)
     else:
         assert got.status == "none"
-    # Each level's undo restores what it changed: a finished traversal
-    # leaves no tree degree and every host edge available.
+    # Each yield is a list of its own, not a view of the search's state:
+    # read only once the traversal has ended, they still hold every HIST.
+    search = _TreeSearch(g, False, EXHAUSTIVE)
+    search.found = True
+    trees = list(search.hists())
+    assert sorted(tuple(sorted(t)) for t in trees) == sorted(expected)
     for cycle_mode in (False, True):
-        search = _TreeSearch(g, cycle_mode, EXHAUSTIVE)
-        for _ in search.hists():
-            pass
-        assert search.tree == [0] * g.n
-        assert search.avail == list(g._masks)
+        for budget in (UNBOUNDED, EXHAUSTIVE):
+            _check_traversal_restores(g, cycle_mode, budget)
+
+
+def _check_traversal_restores(g, cycle_mode, budget):
+    """Walk every HIST of g and check that each level's undo restored what
+    it changed: a finished traversal leaves no tree degree and every host
+    edge available.  In exhaustive mode `found` is set at the first HIST,
+    as `_solve` does; otherwise the orbit rule stays on to the end, as in
+    the balanced-leaf walk."""
+    search = _TreeSearch(g, cycle_mode, budget)
+    for _ in search.hists():
+        search.found = budget.exhaustive
+    assert search.tree == [0] * g.n, (cycle_mode, budget.mode, g.edges())
+    assert search.avail == list(g._masks), (cycle_mode, budget.mode, g.edges())
+
+
+def test_traversal_restores_the_state_on_twin_rich_hosts():
+    # Orbit exclusions fire on these hosts, and each is undone when the
+    # spine level that made it is left.
+    for g in _twin_rich_hosts():
+        for cycle_mode in (False, True):
+            for mode in MODES:
+                _check_traversal_restores(g, cycle_mode, SearchBudget(mode=mode))
 
 
 @given(sghg_hosts())
