@@ -31,7 +31,6 @@ from .certify import (
 from .errors import (
     BudgetExhausted,
     FalsificationError,
-    HalinLabError,
     ParseError,
     PreconditionError,
 )
@@ -399,9 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except HalinLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_PARSE

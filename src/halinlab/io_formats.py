@@ -22,8 +22,6 @@ from .graph import Graph
 
 
 def _encode_n(n: int) -> bytes:
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
     if n <= 62:
         return bytes([n + 63])
     if n <= 258047:

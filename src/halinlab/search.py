@@ -87,18 +87,14 @@ bit v of `avail[u] ^ tree[u]` is set iff (u, v) is undecided: the level
 scan needs one test per edge, and the edge list never changes.
 
 Only the root asks whether the whole host is connected.  Below it,
-`avail` was connected at the parent node, and a step removes edges from
-it one at a time: the level's own exclude and, on the spine, its orbit
-(forced edges are only included).  So after each exclusion of (a, b)
-`avail` stays connected iff a still reaches b: a walk that used (a, b)
-can go round by an a-b path instead.  Each exclusion asks just that,
-right after its own removal, with a reach from a that stops as soon as
-it has seen a neighbour of b.
-
-One check is skipped where it can only pass.  An exclusion of an edge
-whose ends the included edges already join (one with no include branch)
-runs no connectivity search: those edges stay in `avail`, so it stays as
-connected as at the parent node.
+`avail` was connected at the parent node, and a step removes from it the
+level's own edge and, on the spine, its orbit (forced edges are only
+included).  After the exclusion of (u, v), `avail` is connected iff u
+still reaches v (a walk that used (u, v) can go round by a u-v path), so
+the step asks just that, once, after its last exclusion, by a reach from
+u that stops at the first neighbour of v it sees.  An exclusion of an
+edge whose ends the included edges already join (it has no include
+branch) asks nothing: `avail` stays as connected as at the parent node.
 
 Orbit exclusion on the exclude spine.  A spine level is one whose
 ancestors all took their exclude branch.  While no solution has been
@@ -108,17 +104,28 @@ neither is any image of e under an automorphism of the host.  The search
 uses the automorphisms that swap twins, vertices with equal open or
 equal closed neighbour masks (`twin_masks`, built at the first spine
 return).  With X and Y the twin classes of e's ends, e's orbit is X × Y,
-or the pairs inside X when X = Y.  The level's exclude step excludes
-every still-undecided orbit edge with e, each through the endpoint rules
-and the connectivity check, its ends suspects for the leaf check.  An
-orbit edge already in the tree is in every solution, so there is none
-and the search ends.  The orbit exclusions go on the trail like any
-other decision, and the level scan passes over them.  Only edges in no
-solution go, so certificates, counts and the order solutions come in are
-unchanged.  `_solve` sets `found` at its first solution, and the rule
-stops there: in exhaustive mode a failed include subtree no longer means
-"in no solution".  On K_{a,b} the twin classes are the two sides, so the
-first spine return excludes every edge and ends the refutation.
+or the pairs inside X when X = Y.  The level's exclude step excludes e
+and every still-undecided orbit edge, each through the endpoint rules,
+its ends suspects for the leaf check.  Only edges in no solution go, so
+certificates, counts and the order solutions come in are unchanged.
+`_solve` sets `found` at its first solution, and the rule stops there:
+in exhaustive mode a failed include subtree no longer means "in no
+solution".  On K_{a,b} the twin classes are the two sides, so the first
+spine return excludes every edge and ends the refutation.
+
+While `found` is False, `tree` and `avail` on the spine are invariant
+under every twin swap.  They are at the root; a spine step excludes a
+whole orbit, which each swap maps onto itself; and forcing then runs to
+a fixpoint that does not depend on the order of its steps.  So no orbit
+edge is in the tree (it would put e there), and the one reach from u
+answers for the whole orbit: had a removed edge σ(e) joined two
+components while u and v lie in one, D, then σ(D) would be a component
+holding both ends of σ(e).  Nor does a spine level's edge close a cycle,
+so the spine grows only where an include subtree failed.  On the spine
+every tree edge is a forced include.  A vertex forces at most one edge,
+and then all its `avail` edges are tree edges; so the ends of an
+undecided edge have forced nothing, and a tree path of k edges between
+them would need k forcing vertices among its k - 1 interior ones.
 
 One Hamiltonian-walk kernel, `_ham_walks`, serves both the (x,y)-path
 oracle and the leaf cycles of SGHG search.  It walks a vertex mask of the
@@ -318,23 +325,23 @@ class _TreeSearch(_Meter):
             suspects ^= low
         return True
 
-    def _orbit(self, u: int, v: int) -> list[tuple[int, int]] | None:
+    def _orbit(self, u: int, v: int) -> list[tuple[int, int]]:
         """The undecided edges of (u, v)'s orbit under twin swaps, (u, v)
-        itself left out, or None if one of them is in the tree.
+        itself left out.
 
         With X and Y the twin classes of u and v, the orbit is X × Y, or
-        the pairs inside X when X = Y (a class of adjacent twins)."""
+        the pairs inside X when X = Y (a class of adjacent twins).  On the
+        spine no orbit edge is in the tree (see the module docstring), so
+        the ones still in `avail` are the undecided ones."""
         if self.twins is None:
             self.twins = twin_masks(self.g)
         xs, ys = self.twins[u], self.twins[v]
         if xs | ys == 1 << u | 1 << v:
             return []  # no other twins: the orbit is (u, v) alone
-        avail, tree = self.avail, self.tree
+        avail = self.avail
         drop = []
         for a in _bits(xs):
             row = ys & -(2 << a) if xs == ys else ys
-            if tree[a] & row:
-                return None
             drop += [(a, b) if a < b else (b, a) for b in _bits(avail[a] & row)]
         drop.remove((u, v))
         return drop
@@ -378,7 +385,7 @@ class _TreeSearch(_Meter):
         # `drop` holds the orbit edges a spine level's exclude step has
         # still to exclude.
         spine = 0
-        drop: list[tuple[int, int]] | None = []
+        drop: list[tuple[int, int]] = []
         # Level i decides edge at[i], the lowest edge above the parent
         # level's that is still undecided; `saved` holds the leaf masks,
         # `needy`, the included count and the trail length to restore when
@@ -443,10 +450,6 @@ class _TreeSearch(_Meter):
                         # solution lies below its parent, so no solution holds
                         # (u, v) or any edge of its orbit.
                         drop = orbit(u, v)
-                        if drop is None:
-                            # An orbit edge is in every solution: there is none.
-                            i -= 1
-                            continue
             # Include first: level i comes back to undo it, then excludes.
             step[i] = _INCLUDED if include else _EXCLUDED
             suspects = 0 if include else 1 << u | 1 << v
@@ -494,22 +497,18 @@ class _TreeSearch(_Meter):
                         # any, is internal.
                         committed |= 1 << w
                         potential &= ~tree[w]
-                if not include:
-                    if s == _ENTER:
-                        # A cycle-closing exclusion (no include branch) keeps
-                        # u and v joined by included edges, all in avail.  On
-                        # the spine, the level below is a spine level too.
-                        if i == spine:
-                            spine += 1
-                    else:
+                # A cycle-closing exclusion (at _ENTER) keeps u and v joined
+                # by included edges, all in avail, so it asks nothing.
+                if not include and s == _INCLUDED:
+                    if drop and feasible:
                         # Each orbit edge is excluded in turn; a cut on the
                         # spine ends the search, so what is left of `drop`
                         # is never read.
-                        feasible = feasible and joined(a, b)
-                        if drop and feasible:
-                            a, b = drop.pop()
-                            suspects |= 1 << a | 1 << b
-                            continue
+                        a, b = drop.pop()
+                        suspects |= 1 << a | 1 << b
+                        continue
+                    # Also after a whole orbit: connected iff u reaches v.
+                    feasible = feasible and joined(u, v)
                 if not (feasible and force and forcing):
                     break
                 rest = 0

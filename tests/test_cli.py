@@ -6,6 +6,7 @@ import pytest
 
 from halinlab import cli
 from halinlab.cli import COMMANDS, OPTIONS, main
+from halinlab.errors import FalsificationError, HalinLabError
 from halinlab.graph import Graph
 from halinlab.io_formats import emit_edge_list, emit_graph6, parse_certificate
 
@@ -82,6 +83,44 @@ def test_unexpected_exception_exit_code(k4, monkeypatch, capsys):
     monkeypatch.setattr("halinlab.cli.find_hist", broken)
     assert main(["solve", "hist", "--graph", k4, "--node-limit", "10"]) == 14
     assert "RuntimeError: solver bug" in capsys.readouterr().err
+
+    # Every library error the CLI maps is a subclass; a bare one is a bug.
+    def bare(*_args):
+        raise HalinLabError("unclassified")
+
+    monkeypatch.setattr("halinlab.cli.find_hist", bare)
+    assert main(["solve", "hist", "--graph", k4, "--node-limit", "10"]) == 14
+    assert "HalinLabError: unclassified" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        (["hampath", "--graph", "{k4}", "--x", "0", "--y", "3"], "ore_ham_path"),
+        (["hamcycle", "--graph", "{k33}"], "moon_moser_cycle"),
+    ],
+)
+def test_walk_failing_verification_is_a_falsification(argv, builder, k4, tmp_path,
+                                                     monkeypatch, capsys):
+    # The constructive routes are proved correct, so a walk that fails
+    # verify_walk contradicts a theorem: exit 13, never a printed walk.
+    k33 = tmp_path / "k33.g6"
+    k33.write_bytes(emit_graph6(Graph.complete_bipartite(3, 3)) + b"\n")
+    monkeypatch.setattr(f"halinlab.hamiltonicity.{builder}", lambda *_args: (0, 0, 1))
+    assert main([a.format(k4=k4, k33=k33) for a in argv]) == 13
+    captured = capsys.readouterr()
+    assert "failed verification" in captured.err and "0 0 1" not in captured.out
+
+
+def test_falsification_dump_goes_to_stderr(k4, monkeypatch, capsys):
+    def contradicted(*_args):
+        raise FalsificationError("theorem contradicted", {"host": "K_4"})
+
+    monkeypatch.setattr("halinlab.cli.find_hist", contradicted)
+    assert main(["solve", "hist", "--graph", k4, "--node-limit", "10"]) == 13
+    err = capsys.readouterr().err
+    assert "FALSIFICATION EVENT: theorem contradicted" in err
+    assert "dump: {'host': 'K_4'}" in err
 
 
 def test_usage_error_exit_code():

@@ -20,6 +20,7 @@ from halinlab.constructive import (
 )
 from halinlab.errors import PreconditionError
 from halinlab.graph import Graph, VertexSetPair, degree_between
+from halinlab.reduction import build_g_double_prime, build_g_prime, lift_certificate
 
 from oracles import (
     max_matching_size,
@@ -367,3 +368,34 @@ def test_star_pack_monotone_under_edge_addition():
         after = star_pack(g2, centers, tips, arity)
         if before is not None:
             assert after is not None
+
+
+# -- validation messages ---------------------------------------------------------
+
+
+K8 = Graph.complete(8)
+P3_TRACE = build_g_prime(Graph.path(3), 0, 2)[1]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: absorb_pair(K8, {0}, 0.1), "inside set too small"),
+        (lambda: absorb_pair(K8, set(range(8)), 0.1), "outside set must be nonempty and even"),
+        (lambda: dense_hist(Graph.cycle(4), DenseHistParams(0.4, 0)),
+         "root degree too small for a star center"),
+        (lambda: bipartite_hist(5, 5, BipartiteHistPlan(0, 3, 0)), "need hub_count >= 1"),
+        (lambda: tripartite_hist(5, 9, 2, 0, TripartiteHistPlan(0, 4, 2)), "need hub_count >= 1"),
+        (lambda: tripartite_hist(5, 9, 2, -1, TripartiteHistPlan(2, 4, 2)),
+         "l must be nonnegative"),
+        (lambda: star_pack(K8, {0}, {0, 1}, 1), "centers and tip pool must be disjoint"),
+        (lambda: star_pack(K8, {0}, {1, 2}, 0), "arity must be positive"),
+        (lambda: build_g_double_prime(Graph.path(3), P3_TRACE),
+         "graph does not match the stage-one trace"),
+        (lambda: lift_certificate(P3_TRACE, (0, 0, 2)),
+         "path must span the base graph exactly once"),
+    ],
+)
+def test_builders_reject_inputs_outside_their_contract(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()

@@ -9,6 +9,8 @@ from halinlab.errors import ParseError, PreconditionError
 from halinlab.graph import Graph
 from halinlab.io_formats import (
     CertificateDocument,
+    _decode_n,
+    _encode_n,
     emit_certificate,
     emit_edge_list,
     emit_graph6,
@@ -49,6 +51,22 @@ def test_graph6_long_form():
     assert parse_graph6(data) == g
     reference = nx.to_graph6_bytes(to_networkx(g), header=False).strip()
     assert data == reference
+
+
+# The largest n of each header form and the smallest of the next: 1 byte
+# up to 62, 4 bytes up to 258,047, 8 bytes up to 2^36 - 1.
+@pytest.mark.parametrize(
+    "n, width", [(62, 1), (63, 4), (258_047, 4), (258_048, 8), (2**36 - 1, 8)]
+)
+def test_graph6_header_round_trips_at_each_form_boundary(n, width):
+    header = _encode_n(n)
+    assert len(header) == width
+    assert _decode_n(header) == (n, width)
+
+
+def test_graph6_header_rejects_n_past_the_long_form():
+    with pytest.raises(PreconditionError, match="too large for graph6"):
+        _encode_n(2**36)
 
 
 def test_graph6_header_prefix_accepted():

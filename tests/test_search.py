@@ -11,9 +11,11 @@ from halinlab.extremal import sharpness_instance
 from halinlab.graph import (
     Graph,
     VertexSetPair,
+    _bits,
     _reach,
     bipartition,
     iter_all_graphs,
+    twin_masks,
     vertex_connectivity_at_least,
 )
 from halinlab.io_formats import parse_graph6
@@ -598,8 +600,10 @@ def test_cycle_closing_exclusions_skip_the_connectivity_search():
     # An exclusion whose ends the included edges already join keeps `avail`
     # connected, so it runs no search.  Node counts cannot show the skip;
     # these call counts do (the root's whole-host check is not counted).
-    # On K_{4,5} they count each orbit edge's check too.
-    assert _exclusion_checks(find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED) == 599
+    # A spine exclusion asks once, after its whole orbit: on K_{4,5} the
+    # one orbit step (19 edges) is cut by the degree rules before it asks,
+    # where checking each orbit edge in turn took 5 searches.
+    assert _exclusion_checks(find_sghg, Graph.complete_bipartite(4, 5), UNBOUNDED) == 594
     assert _exclusion_checks(find_sghg, Graph.complete(6), EXHAUSTIVE) == 381
 
 
@@ -754,6 +758,42 @@ def test_orbit_exclusion_cuts_only_dead_branches():
         assert ours.nodes <= plain.nodes, (solver.__name__, budget.mode, g.edges())
         cut = cut or ours.nodes < plain.nodes
     assert cut
+
+
+def _swapped(masks, x, y):
+    """Neighbour masks `masks` with vertices x and y exchanged."""
+    out = list(masks)
+    out[x], out[y] = out[y], out[x]
+    flip = 1 << x | 1 << y
+    return [m ^ flip if (m >> x ^ m >> y) & 1 else m for m in out]
+
+
+def test_spine_state_is_invariant_under_twin_swaps():
+    # A spine step excludes its edge's whole orbit, and forcing then runs
+    # to a fixpoint that does not depend on the order of its steps.  So at
+    # every orbit call `tree` and `avail` are invariant under each twin
+    # swap: no orbit edge is in the tree, and one reach from u tells
+    # whether `avail` stays connected after the whole orbit.
+    orbit = _TreeSearch._orbit
+    calls = fired = 0
+
+    def checked(self, u, v):
+        nonlocal calls, fired
+        for x, y in swaps:
+            assert _swapped(self.tree, x, y) == self.tree, (g.edges(), u, v, x, y)
+            assert _swapped(self.avail, x, y) == self.avail, (g.edges(), u, v, x, y)
+        drop = orbit(self, u, v)
+        calls += 1
+        fired += bool(drop)
+        return drop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TreeSearch, "_orbit", checked)
+        for solver, g, budget in _check_corpus():
+            classes = {c for c in twin_masks(g) if c & c - 1}
+            swaps = [p for c in classes for p in combinations(_bits(c), 2)]
+            solver(g, budget)
+    assert fired and calls > fired
 
 
 def _balanced_nodes(g, sides):
