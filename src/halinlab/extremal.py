@@ -137,9 +137,9 @@ def random_three_connected(n: int, min_degree: int, rng: random.Random) -> Graph
             if row.bit_count() < min_degree:
                 # Row u fixes u's degree, and it is below the floor: use up
                 # the attempt's other draws untested, so the next attempt
-                # reads the stream it always did.
-                for _ in range((n - 1 - u) * (n - 2 - u) // 2):
-                    draw()
+                # reads the stream it always did.  random() reads two 32-bit
+                # words of the generator and getrandbits(64 * k) reads 2k.
+                rng.getrandbits(64 * ((n - 1 - u) * (n - 2 - u) // 2))
                 break
         else:
             g = Graph._from_masks(masks)

@@ -1,9 +1,12 @@
 """Interchange formats: graph6, plain edge lists, certificate documents.
 
 graph6 follows the standard bit packing: 6 bits per character, offset 63,
-adjacency bits in upper-triangle column order.  The decoder reads each
-neighbour bitmask straight off the bit string (a vertex's column of the
-triangle, then its row) and hands the masks to the trusted, unchecked
+most significant bit first, adjacency bits in upper-triangle column order.
+That is base64 with the alphabet shifted, so both codec halves translate
+the body to base64 and let the C codec move the whole bit stream at once.
+The decoder reads each neighbour bitmask straight off the bit string (a
+vertex's column of the triangle, then its row as a strided slice of the
+padded columns) and hands the masks to the trusted, unchecked
 `Graph._from_masks`: graph6 cannot encode a bad edge.  Certificate
 documents are UTF-8 JSON records with sorted keys so re-emission is
 byte-stable; the `_SCHEMAS` table describes every kind once, and
@@ -12,6 +15,8 @@ validation, canonical emission and the id range checks all read it.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 from dataclasses import dataclass, field
 
@@ -52,6 +57,15 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     return n, end
 
 
+# Byte 63 + k of graph6 is the base64 symbol of value k.  Every byte outside
+# 63..126 goes to "!", which no base64 decoder accepts: "+", "/", "0"-"9"
+# and "=" are invalid in graph6 but valid in base64, so an identity
+# default would decode them silently.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64 = bytes(_B64[c - 63] if 63 <= c <= 126 else ord("!") for c in range(256))
+_FROM_B64 = bytes.maketrans(_B64, bytes(range(63, 127)))
+
+
 def emit_graph6(g: Graph) -> bytes:
     """Encode a graph as graph6 bytes; round-trips through parse_graph6."""
     # Column v of the upper triangle lists rows u < v: the low v bits of
@@ -60,13 +74,13 @@ def emit_graph6(g: Graph) -> bytes:
         format(g.neighbor_mask(v) & ((1 << v) - 1), f"0{v}b")[::-1]
         for v in range(1, g.n)
     )
-    bits += "0" * (-len(bits) % 6)
-    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
-    return _encode_n(g.n) + body
-
-
-# The six bits of every graph6 byte, and "" for a byte outside 63..126.
-_SIX_BITS = [format(c - 63, "06b") if 63 <= c <= 126 else "" for c in range(256)]
+    need = (len(bits) + 5) // 6
+    # Zero bits up to a multiple of 24 make whole 3-byte base64 groups, so
+    # the encoder writes no "="; the cut to `need` drops the filler symbols.
+    # Below n = 2 the triangle is empty, and "0" stands in for its value.
+    bits += "0" * (-len(bits) % 24)
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return _encode_n(g.n) + base64.b64encode(raw).translate(_FROM_B64)[:need]
 
 
 def parse_graph6(text: bytes | str) -> Graph:
@@ -79,7 +93,8 @@ def parse_graph6(text: bytes | str) -> Graph:
         data = data[len(b">>graph6<<") :]
     n, used = _decode_n(data)
     body = data[used:]
-    need = (n * (n - 1) // 2 + 5) // 6
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
     if len(body) < need:
         raise ParseError(
             f"truncated bit stream: need {need} bytes, have {len(body)}",
@@ -87,18 +102,26 @@ def parse_graph6(text: bytes | str) -> Graph:
         )
     if len(body) > need:
         raise ParseError("trailing bytes after graph6 payload", used + need)
-    bits = "".join(map(_SIX_BITS.__getitem__, body))
-    if len(bits) < 6 * len(body):
-        i = next(i for i, c in enumerate(body) if not _SIX_BITS[c])
-        raise ParseError(f"out-of-range character {body[i]}", used + i)
-    if "1" in bits[n * (n - 1) // 2 :]:
+    # "A" (value 0) fills the symbols out to whole 4-symbol groups.
+    sym = body.translate(_TO_B64)
+    try:
+        raw = base64.b64decode(sym + b"A" * (-len(sym) % 4), validate=True)
+    except binascii.Error:
+        i = next(i for i, c in enumerate(body) if not 63 <= c <= 126)
+        raise ParseError(f"out-of-range character {body[i]}", used + i) from None
+    # The spare low bits are graph6's own padding and the "A" filler.
+    spare = 8 * len(raw) - nbits
+    value = int.from_bytes(raw, "big")
+    if value & ((1 << spare) - 1):
         raise ParseError("nonzero padding bits", used + need - 1)
-    # Column v (rows u < v) gives v's neighbours below v; padded to n and
-    # transposed, the columns give each vertex's neighbours above it.
+    bits = format(value >> spare, f"0{nbits}b")
+    # Column v (rows u < v) gives v's neighbours below v.  Padded to n and
+    # laid end to end, every n-th character from u is row u: u's neighbours
+    # above it.
     cols = [bits[v * (v - 1) // 2 : v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
+    flat = "".join(cols)
     return Graph._from_masks(
-        int(col[::-1], 2) | int("".join(row)[::-1], 2)
-        for col, row in zip(cols, zip(*cols))
+        int(col[::-1], 2) | int(flat[u::n][::-1], 2) for u, col in enumerate(cols)
     )
 
 

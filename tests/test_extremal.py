@@ -88,6 +88,17 @@ def test_random_three_connected_matches_the_full_draw_sampler():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 37, 741])
+def test_getrandbits_skips_as_many_words_as_random_calls(k):
+    # The sampler's early exit skips k draws with one getrandbits(64 * k).
+    drawn, skipped = trial_rng(40, k), trial_rng(40, k)
+    for _ in range(k):
+        drawn.random()
+    skipped.getrandbits(64 * k)
+    assert drawn.getstate() == skipped.getstate()
+    assert drawn.random() == skipped.random()
+
+
 def test_trials_are_deterministic():
     budget = SearchBudget(node_limit=200_000, mode="first")
     a = run_trial(10, 0.8, 42, 3, budget)

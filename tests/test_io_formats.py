@@ -44,6 +44,24 @@ def test_graph6_against_reference_encoder():
         assert parse_graph6(reference) == g
 
 
+def test_graph6_medium_form_against_reference_encoder():
+    """Every n with a 4-byte header up to 130, and one near 300."""
+    rng = random.Random(2)
+    for n in [*range(63, 131), 297]:
+        g = random_graph(rng, n, rng.random())
+        reference = nx.to_graph6_bytes(to_networkx(g), header=False).strip()
+        assert emit_graph6(g) == reference, n
+
+
+def test_graph6_round_trip_at_every_n_up_to_130():
+    # Body lengths take every residue mod 4, so the decoder's "A" filler
+    # runs at each of its widths.
+    rng = random.Random(3)
+    for n in range(131):
+        g = random_graph(rng, n, rng.random())
+        assert parse_graph6(emit_graph6(g)) == g, n
+
+
 def test_graph6_long_form():
     g = Graph(70, [(0, 69), (1, 2)])
     data = emit_graph6(g)
@@ -128,6 +146,37 @@ def test_graph6_out_of_range_character_offset(n, head, i, c):
         parse_graph6(bytes(data))
     assert err.value.offset == head + i
     assert str(err.value) == f"out-of-range character {c} (at offset {head + i})"
+
+
+# "+", "/", "0", "9" and "=": invalid in graph6, valid in base64.  The
+# positions cover every residue mod 4 of a 4-symbol base64 group, and the
+# last body byte, whose group the decoder fills out.
+@pytest.mark.parametrize("n, head, need", [(10, 1, 8), (70, 4, 403)])
+@pytest.mark.parametrize("i", [0, 1, 2, 3, -1])
+@pytest.mark.parametrize("c", [43, 47, 48, 57, 61])
+def test_graph6_rejects_bytes_valid_in_base64(n, head, need, i, c):
+    data = bytearray(emit_graph6(Graph.complete(n)))
+    i %= need
+    data[head + i] = c
+    with pytest.raises(ParseError) as err:
+        parse_graph6(bytes(data))
+    assert err.value.offset == head + i
+    assert str(err.value) == f"out-of-range character {c} (at offset {head + i})"
+
+
+# The triangle's bit count n(n - 1)/2 is 0, 1, 3 or 4 mod 6, so the last
+# body byte carries 0, 5, 3 or 2 padding bits.
+@pytest.mark.parametrize("n, width", [(2, 5), (5, 2), (8, 2), (10, 3)])
+def test_graph6_rejects_each_nonzero_padding_bit(n, width):
+    for bit in range(width):
+        data = bytearray(emit_graph6(Graph.complete(n)))
+        data[-1] += 1 << bit
+        with pytest.raises(ParseError) as err:
+            parse_graph6(bytes(data))
+        assert str(err.value) == f"nonzero padding bits (at offset {len(data) - 1})"
+    data = bytearray(emit_graph6(Graph.empty(n)))
+    data[-1] += 1 << width  # the last triangle bit, not padding
+    assert parse_graph6(bytes(data)).edge_count == 1
 
 
 @pytest.mark.parametrize("n, head, need", [(10, 1, 8), (70, 4, 403)])
