@@ -255,6 +255,8 @@ class TripartiteHistPlan:
 
 def tripartite_host(a_size: int, b_size: int, f_size: int) -> Graph:
     """Complete between A and B and between B and F; empty between A and F."""
+    if min(a_size, b_size, f_size) < 0:
+        raise PreconditionError("part sizes must be nonnegative")
     n = a_size + b_size + f_size
     b_ids = range(a_size, a_size + b_size)
     return Graph(n, ((u, v) for v in b_ids for u in range(n) if u not in b_ids))

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -254,8 +255,8 @@ def threshold_experiment(
     }
     trial = partial(run_trial, n, delta_fraction, seed, budget=budget)
     # The pool forks all its workers at the first submit, so it gets no
-    # more of them than there are trials.
-    workers = min(threads, trials)
+    # more of them than there are trials or CPUs.
+    workers = min(threads, trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

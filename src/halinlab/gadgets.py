@@ -49,6 +49,8 @@ class InsertionInstance:
 
 def complete_instance(a_size: int, b_size: int, k: int) -> InsertionInstance:
     """Complete bipartite host with k inserted vertices seeing everything."""
+    if min(a_size, b_size, k) < 0:
+        raise PreconditionError("side sizes and inserted count must be nonnegative")
     n = a_size + b_size + k
     edges = [(i, a_size + j) for i in range(a_size) for j in range(b_size)]
     for x in range(a_size + b_size, n):

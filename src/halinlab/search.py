@@ -62,7 +62,7 @@ and none of degree 0, so:
   the third;
 - a vertex at tree degree 0 with one edge in `avail` takes that edge.
 
-Level i decides edge `at[i]`, the lowest edge above its parent level's
+Each level decides one edge, the lowest edge above its parent level's
 that is still undecided: no earlier level forced it in or excluded it
 with an orbit (below).  One step applies an edge (the level's own
 include or exclude, an orbit exclusion, or a forced include) and runs
@@ -78,13 +78,17 @@ exclusions that would have committed its leaves, so SGHG search runs the
 leaf check on its leaves, all committed, before it walks them.
 
 Every decided edge goes on one trail as (a, b, r): r is the union-find
-root an include linked, or -1 for an exclusion.  `saved[i]` keeps level
-i's scalars (the leaf masks, `needy`, the included count and the trail
-length), and leaving the level restores them and pops the trail back to
-that length: each include gives back its tree bits and its union-find
-link, each exclusion its `avail` bits.  A tree edge stays in `avail`, so
-bit v of `avail[u] ^ tree[u]` is set iff (u, v) is undecided: the level
-scan needs one test per edge, and the edge list never changes.
+root an include linked, or -1 for an exclusion.  Each level keeps one
+record on the stack `saved`: the leaf masks, `needy` and the included
+count to restore, `mark`, the trail length on entry, and its edge's
+index, where the next level's scan starts.  A branch that comes back
+restores them and pops the trail back to `mark`: each include gives back
+its tree bits and its union-find link, each exclusion its `avail` bits.
+The level's own edge is the first thing it puts on the trail, so
+`trail[mark]` names the branch: after the include the level excludes,
+after the exclusion its record is popped.  A tree edge stays in `avail`,
+so bit v of `avail[u] ^ tree[u]` is set iff (u, v) is undecided: the
+level scan needs one test per edge, and the edge list never changes.
 
 Only the root asks whether the whole host is connected.  Below it,
 `avail` was connected at the parent node, and a step removes from it the
@@ -221,11 +225,6 @@ class SearchResult:
         return self.status == "found"
 
 
-# Steps of one level of the tree search's explicit stack: the level is
-# entered, or comes back after its include or its exclude branch.
-_ENTER, _INCLUDED, _EXCLUDED = 0, 1, 2
-
-
 class _Meter:
     """Counts search nodes against a budget's node and time limits."""
 
@@ -257,7 +256,6 @@ class _TreeSearch(_Meter):
         self.g = g
         self.n = g.n
         self.edges = g.edges()
-        self.m = len(self.edges)
         self.cycle_mode = cycle_mode
         n = g.n
         self.tree = [0] * n  # tree-neighbour masks; bit count = tree degree
@@ -357,10 +355,10 @@ class _TreeSearch(_Meter):
         Until the caller sets `found`, the spine's orbit exclusion takes
         every HIST yielded so far as no solution: a caller that counts
         solutions sets it at the first one it keeps."""
-        n1, m, cycle_mode, full = self.n - 1, self.m, self.cycle_mode, self.full
+        n1, cycle_mode, full = self.n - 1, self.cycle_mode, self.full
         edges, avail, tree = self.edges, self.avail, self.tree
         # An SGHG has at least 4 vertices.
-        if self.n < (4 if cycle_mode else 1) or m < n1 or _reach(avail, 0, full) != full:
+        if self.n < (4 if cycle_mode else 1) or len(edges) < n1 or _reach(avail, 0, full) != full:
             return
         tick, room, leaves_ok = self.tick, self.room, self._leaves_ok
         joined, forcing, orbit = self._joined, self._forcing, self._orbit
@@ -386,17 +384,15 @@ class _TreeSearch(_Meter):
         # still to exclude.
         spine = 0
         drop: list[tuple[int, int]] = []
-        # Level i decides edge at[i], the lowest edge above the parent
-        # level's that is still undecided; `saved` holds the leaf masks,
-        # `needy`, the included count and the trail length to restore when
-        # it is left.
-        step = [_ENTER] * (m + 1)
-        at = [0] * m
-        saved = [(0, 0, 0, 0, 0)] * m
+        # One record per level: the leaf masks, `needy`, the included count
+        # and the trail length to restore when a branch comes back, and the
+        # index of the edge the level decides.  Level i is being entered iff
+        # it has no record yet.
+        saved: list[tuple[int, int, int, int, int, int]] = []
         i = 0
         while i >= 0:
-            s = step[i]
-            if s == _ENTER:
+            back = i < len(saved)
+            if not back:
                 tick()
                 missing = n1 - size
                 if missing == 0:
@@ -410,22 +406,24 @@ class _TreeSearch(_Meter):
                 # `avail` stays connected, so once no edge is undecided the
                 # included edges span the host: an edge is still missing,
                 # so this scan stops before the end of `edges`.
-                e = at[i - 1] + 1 if i else 0
+                e = saved[-1][5] + 1 if saved else 0
                 u, v = edges[e]
                 while not (avail[u] ^ tree[u]) >> v & 1:
                     e += 1
                     u, v = edges[e]
-                at[i] = e
                 ru = u
                 while parent[ru] != ru:
                     ru = parent[ru]
                 rv = v
                 while parent[rv] != rv:
                     rv = parent[rv]
-                saved[i] = (potential, committed, needy, size, len(trail))
+                saved.append((potential, committed, needy, size, len(trail), e))
                 include = ru != rv
-            else:  # back at level i: undo the branch just finished
-                potential, committed, needy, size, mark = saved[i]
+            else:  # back at level i: undo the branch that came back
+                potential, committed, needy, size, mark, e = saved[i]
+                # The level's own edge went on the trail first: r < 0 there
+                # says the exclude branch came back.
+                excluded = trail[mark][2] < 0
                 while len(trail) > mark:
                     a, b, r = trail.pop()
                     if r < 0:
@@ -437,10 +435,11 @@ class _TreeSearch(_Meter):
                         q = parent[r]
                         parent[r] = r
                         rank[q] -= rank[r]
-                if s == _EXCLUDED:
+                if excluded:
+                    saved.pop()
                     i -= 1
                     continue
-                u, v = edges[at[i]]
+                u, v = edges[e]
                 include = False
                 if i == spine:
                     # The level below is a spine level too.
@@ -451,7 +450,6 @@ class _TreeSearch(_Meter):
                         # (u, v) or any edge of its orbit.
                         drop = orbit(u, v)
             # Include first: level i comes back to undo it, then excludes.
-            step[i] = _INCLUDED if include else _EXCLUDED
             suspects = 0 if include else 1 << u | 1 << v
             feasible = True
             force = 0  # vertices with exactly one undecided edge they need
@@ -497,9 +495,9 @@ class _TreeSearch(_Meter):
                         # any, is internal.
                         committed |= 1 << w
                         potential &= ~tree[w]
-                # A cycle-closing exclusion (at _ENTER) keeps u and v joined
+                # A cycle-closing exclusion (on entry) keeps u and v joined
                 # by included edges, all in avail, so it asks nothing.
-                if not include and s == _INCLUDED:
+                if not include and back:
                     if drop and feasible:
                         # Each orbit edge is excluded in turn; a cut on the
                         # spine ends the search, so what is left of `drop`
@@ -543,7 +541,6 @@ class _TreeSearch(_Meter):
                 )
             if feasible:
                 i += 1
-                step[i] = _ENTER
 
     def leaf_set(self) -> list[int]:
         return [w for w, t in enumerate(self.tree) if t.bit_count() == 1]

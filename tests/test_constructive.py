@@ -388,6 +388,9 @@ P3_TRACE = build_g_prime(Graph.path(3), 0, 2)[1]
         (lambda: tripartite_hist(5, 9, 2, 0, TripartiteHistPlan(0, 4, 2)), "need hub_count >= 1"),
         (lambda: tripartite_hist(5, 9, 2, -1, TripartiteHistPlan(2, 4, 2)),
          "l must be nonnegative"),
+        (lambda: tripartite_host(2, -1, 3), "part sizes must be nonnegative"),
+        (lambda: tripartite_host(-3, 2, 1), "part sizes must be nonnegative"),
+        (lambda: tripartite_host(1, 2, -1), "part sizes must be nonnegative"),
         (lambda: star_pack(K8, {0}, {0, 1}, 1), "centers and tip pool must be disjoint"),
         (lambda: star_pack(K8, {0}, {1, 2}, 0), "arity must be positive"),
         (lambda: build_g_double_prime(Graph.path(3), P3_TRACE),

@@ -1,3 +1,4 @@
+import os
 from unittest import mock
 
 import pytest
@@ -165,7 +166,17 @@ def test_threshold_experiment_starts_no_more_workers_than_trials(monkeypatch):
     budget = SearchBudget(node_limit=200_000, mode="first")
     strip = lambda r: [(t.index, t.seed_hash, t.outcome, t.certificate_digest) for t in r.trials]
     serial = strip(threshold_experiment(9, 0.85, 4, 21, budget))
-    for threads, trials, workers in ((5000, 4, [4]), (3, 4, [3]), (5000, 1, []), (8, 0, [])):
+    # Rows: CPUs, threads, trials, workers asked for.  The pool gets no more
+    # workers than trials or CPUs, and an unknown CPU count means one.
+    for cpus, threads, trials, workers in (
+        (8, 5000, 4, [4]),
+        (8, 3, 4, [3]),
+        (8, 5000, 1, []),
+        (8, 8, 0, []),
+        (2, 5000, 4, [2]),
+        (None, 5000, 4, []),
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         started.clear()
         report = threshold_experiment(9, 0.85, trials, 21, budget, threads)
         assert started == workers

@@ -33,6 +33,11 @@ def test_instance_validation():
     bad = Graph(4, [(0, 1), (2, 3), (0, 2)])
     with pytest.raises(PreconditionError):
         InsertionInstance(bad, (0, 1), (2, 3), ())
+    # A negative size is named, not reported as an edge out of range.
+    message = "^side sizes and inserted count must be nonnegative$"
+    for a, b, k in ((3, 3, -2), (-1, 3, 1), (3, -1, 1)):
+        with pytest.raises(PreconditionError, match=message):
+            complete_instance(a, b, k)
 
 
 def test_hit_counts_match_formulas():
