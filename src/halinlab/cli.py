@@ -122,6 +122,7 @@ def cmd_solve(args, g: Graph) -> int:
 
 def cmd_hampath(args, g: Graph) -> int:
     budget = SearchBudget(args.node_limit, args.time_limit)
+    hamiltonicity.check_endpoints(g, args.x, args.y)  # before any output
     pair = hamiltonicity.check_ore_plus(g)
     if pair is None:
         print("degree-sum condition: holds (constructive route)")

@@ -95,9 +95,11 @@ def _repair(
     top = k if cyclic else k - 1
     exchange = _rotate_cycle if cyclic else _apply_crossing
     masks = g._masks  # the sequence holds only vertex ids of g
+    first = 0  # every edge before position `first` is genuine
     for _ in range(k + 1):
         bad = next(
-            (i for i in range(top) if not masks[seq[i]] >> seq[(i + 1) % k] & 1), None
+            (i for i in range(first, top) if not masks[seq[i]] >> seq[(i + 1) % k] & 1),
+            None,
         )
         if bad is None:
             return tuple(seq)
@@ -112,12 +114,26 @@ def _repair(
                 {"sequence": list(seq), "virtual_at": bad},
             )
         seq = exchange(seq, bad, j)
+        if not cyclic:
+            # A path exchange leaves edges before min(bad, j) alone, puts
+            # genuine edges at bad and j, and reverses the genuine edges
+            # between j and bad if j < bad: all is genuine up to bad.  A
+            # cycle's rotation moves every position, so it rescans.
+            first = bad + 1
         if stats is not None:
             stats.rotations += 1
     raise FalsificationError(
         "rotation cap exceeded under a verified degree-sum condition",
         {"sequence": list(seq)},
     )
+
+
+def check_endpoints(g: Graph, x: int, y: int) -> None:
+    """Raise PreconditionError unless x and y are two distinct vertices of g."""
+    if x == y:
+        raise PreconditionError("endpoints must differ")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise PreconditionError("endpoint out of range")
 
 
 def ore_ham_path(
@@ -128,10 +144,7 @@ def ore_ham_path(
     Never searches: each rotation removes one virtual edge for good, so
     at most n-1 rotations happen.
     """
-    if x == y:
-        raise PreconditionError("endpoints must differ")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise PreconditionError("endpoint out of range")
+    check_endpoints(g, x, y)
     pair = check_ore_plus(g)
     if pair is not None:
         raise PreconditionError(f"degree-sum condition fails at pair {pair}")

@@ -4,13 +4,17 @@ graph6 follows the standard bit packing: 6 bits per character, offset 63,
 most significant bit first, adjacency bits in upper-triangle column order.
 That is base64 with the alphabet shifted, so both codec halves translate
 the body to base64 and let the C codec move the whole bit stream at once.
-The decoder reads each neighbour bitmask straight off the bit string (a
-vertex's column of the triangle, then its row as a strided slice of the
-padded columns) and hands the masks to the trusted, unchecked
-`Graph._from_masks`: graph6 cannot encode a bad edge.  Certificate
-documents are UTF-8 JSON records with sorted keys so re-emission is
-byte-stable; the `_SCHEMAS` table describes every kind once, and
-validation, canonical emission and the id range checks all read it.
+The decoder lifts each vertex's column of the triangle into one row of a
+square bit matrix, transposes the square (Warren, Hacker's Delight, 7-3:
+delta swaps inside 8 x 8 blocks, then strided byte slices move the
+blocks), ORs the square with its transpose to get every neighbour
+bitmask, and hands the masks to the trusted, unchecked `Graph._from_masks`:
+graph6 cannot encode a bad edge.  Certificate documents are UTF-8 JSON
+records with sorted keys so re-emission is byte-stable; the `_SCHEMAS`
+table describes every kind once, and validation, canonical emission and
+the id range checks all read it.  Validation checks each field across
+all records at once and falls back to a per-item scan, which names the
+first fault, only when that bulk check fails.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import base64
 import binascii
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ParseError, PreconditionError
 from .graph import Graph
@@ -111,18 +116,54 @@ def parse_graph6(text: bytes | str) -> Graph:
         raise ParseError(f"out-of-range character {body[i]}", used + i) from None
     # The spare low bits are graph6's own padding and the "A" filler.
     spare = 8 * len(raw) - nbits
-    value = int.from_bytes(raw, "big")
-    if value & ((1 << spare) - 1):
+    if int.from_bytes(raw, "big") & ((1 << spare) - 1):
         raise ParseError("nonzero padding bits", used + need - 1)
-    bits = format(value >> spare, f"0{nbits}b")
-    # Column v (rows u < v) gives v's neighbours below v.  Padded to n and
-    # laid end to end, every n-th character from u is row u: u's neighbours
-    # above it.
-    cols = [bits[v * (v - 1) // 2 : v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
-    flat = "".join(cols)
-    return Graph._from_masks(
-        int(col[::-1], 2) | int(flat[u::n][::-1], 2) for u, col in enumerate(cols)
-    )
+    return Graph._from_masks(_triangle_masks(raw, n))
+
+
+# _REVERSED[b] is byte b with its bit order reversed.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _triangle_masks(raw: bytes, n: int) -> list[int]:
+    """The n neighbour masks of a graph6 bit stream, most significant bit
+    first in `raw`.
+
+    Column v of the upper triangle (stream bits v(v-1)/2 on, rows u < v)
+    becomes row v of a W x W bit matrix, W = 8 * ceil(n / 8), stored as
+    one little-endian integer: bit v * W + u is the pair (u, v), u < v.
+    Its transpose holds each pair at bit u * W + v, and the OR of the two
+    is the adjacency matrix.
+    """
+    wb = (n + 7) >> 3 or 1  # bytes per row; n = 0 still gets one 8 x 8 block
+    w = wb << 3
+    from_bytes = int.from_bytes  # bound once: called twice per vertex
+    # Reversing each byte makes stream bit t little-endian bit t.
+    stream = raw.translate(_REVERSED)
+    rows = []
+    start = 0
+    for v in range(n):
+        col = from_bytes(stream[start >> 3 : (start + v + 7) >> 3], "little")
+        rows.append((col >> (start & 7) & ~(-1 << v)).to_bytes(wb, "little"))
+        start += v
+    rows.append(bytes(wb * (w - n)))
+    square = from_bytes(b"".join(rows), "little")
+    # Transpose every 8 x 8 block in place: three delta swaps exchange the
+    # off-diagonal k x k quarters of each 2k x 2k block, k = 4, 2, 1.  Bit
+    # (i, j) of a block, i & k clear and j & k set, trades with (i + k, j - k).
+    blocks = square
+    for k, quarter in ((4, 0xF0), (2, 0xCC), (1, 0xAA)):
+        shift = k * (w - 1)
+        half = bytes([quarter]) * (wb * k) + bytes(wb * k)  # k rows with i & k clear, k without
+        mask = from_bytes(half * (w // (2 * k)), "little")
+        t = (blocks ^ blocks >> shift) & mask
+        blocks ^= t ^ t << shift
+    # Then move block (C, R) to (R, C): byte C of row 8R + i in the
+    # transpose is byte R of row 8C + i, a slice with a stride of 8 rows.
+    flat = blocks.to_bytes(w * wb, "little")
+    moved = b"".join(flat[i * wb + r :: w] for r in range(wb) for i in range(8))
+    full = (square | from_bytes(moved, "little")).to_bytes(w * wb, "little")
+    return [from_bytes(full[i : i + wb], "little") for i in range(0, n * wb, wb)]
 
 
 # -- edge lists ---------------------------------------------------------------
@@ -255,9 +296,11 @@ class CertificateDocument:
         if self.kind not in KINDS:  # a tuple: an unhashable kind is unknown too
             raise PreconditionError(f"unknown certificate kind {self.kind!r}")
         schema = _SCHEMAS[self.kind]
-        ids = _record_ids(self.payload, schema, f"{self.kind} payload")
+        ids = _bulk_record_ids([self.payload], schema)
+        if ids is None:  # the per-item scan names the first fault
+            ids = _record_ids(self.payload, schema, f"{self.kind} payload")
         for n in (self.payload[k] for k, shape in schema.items() if shape == "count"):
-            if any(not 0 <= v < n for v in ids):
+            if ids and not (0 <= min(ids) and max(ids) < n):
                 raise PreconditionError(f"a vertex id lies outside 0..{n - 1}")
 
     def payload_of(self, kind: str) -> dict:
@@ -314,6 +357,65 @@ def _field_ids(value, shape, what: str) -> list[int]:
         raise PreconditionError(f"{what} repeats a pair")
     if shape == "ids" and len(set(ids)) != len(ids):
         raise PreconditionError(f"{what} repeats an id")
+    return ids
+
+
+_SEQUENCES = {list, tuple}
+
+
+def _bulk_record_ids(records: list, schema: dict) -> list[int] | None:
+    """The ids that a list of records names, checked one field at a time
+    across all records; None unless every value is plainly valid.
+
+    "Plainly" means builtin types only: an int or dict subclass, like any
+    fault, sends the caller to the per-item scan, which accepts or names it.
+    """
+    if not (
+        set(map(type, records)) <= {dict}
+        and set(map(frozenset, records)) <= {frozenset(schema)}
+    ):
+        return None
+    ids: list[int] = []
+    for key, shape in schema.items():
+        got = _bulk_field_ids([rec[key] for rec in records], shape)
+        if got is None:
+            return None
+        ids += got
+    return ids
+
+
+def _bulk_field_ids(values: list, shape) -> list[int] | None:
+    """`_bulk_record_ids` for one field, given its value in each record."""
+    kinds = set(map(type, values))
+    if isinstance(shape, dict):
+        if not kinds <= _SEQUENCES:
+            return None
+        return _bulk_record_ids(list(chain.from_iterable(values)), shape)
+    if shape in _SCALARS:
+        if shape == "json":
+            return []
+        if not kinds <= ({bool} if shape == "flag" else {int}):
+            return None
+        if shape == "count" and min(values, default=0) < 0:
+            return None
+        return values if shape == "id" else []
+    if not kinds <= _SEQUENCES:
+        return None
+    lists = values
+    if shape in ("pairs", "triples"):
+        lists = list(chain.from_iterable(values))
+        size = 2 if shape == "pairs" else 3
+        if not (set(map(type, lists)) <= _SEQUENCES and set(map(len, lists)) <= {size}):
+            return None
+    elif shape == "pair" and not set(map(len, values)) <= {2}:
+        return None
+    ids = list(chain.from_iterable(lists))
+    if not set(map(type, ids)) <= {int}:
+        return None
+    if shape == "pairs" and any(len(set(map(frozenset, v))) != len(v) for v in values):
+        return None
+    if shape == "ids" and any(len(set(v)) != len(v) for v in values):
+        return None
     return ids
 
 

@@ -170,6 +170,7 @@ from .graph import (
     edge_inside,
     twin_masks,
 )
+from .hamiltonicity import check_endpoints
 
 #: Accepted search modes, in the order the CLI lists them.  "exhaustive"
 #: enumerates and counts every solution; the others stop at the first,
@@ -670,10 +671,7 @@ def ham_path_oracle(
     The budget's node and time limits apply as in the tree search (its
     mode is ignored); an overrun raises BudgetExhausted.
     """
-    if x == y:
-        raise PreconditionError("endpoints must differ")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise PreconditionError("endpoint out of range")
+    check_endpoints(g, x, y)
     return next(_ham_walks(g._masks, (1 << g.n) - 1, x, y, _Meter(budget).tick), None)
 
 

@@ -224,6 +224,24 @@ def test_hampath_bad_terminal_is_a_precondition_error(tmp_path, terminals):
     assert main(["hampath", "--graph", str(k6), *terminals]) == 12
 
 
+@pytest.mark.parametrize(
+    "graph6, x, y, message",
+    [
+        (b"C~", "0", "9", "endpoint out of range"),  # K_4: the constructive route
+        (b"ECO_", "2", "2", "endpoints must differ"),  # fails the degree-sum scan
+    ],
+)
+def test_hampath_checks_the_endpoints_before_naming_a_route(
+    tmp_path, capsys, graph6, x, y, message
+):
+    path = tmp_path / "host.g6"
+    path.write_bytes(graph6 + b"\n")
+    assert main(["hampath", "--graph", str(path), "--x", x, "--y", y]) == 12
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"precondition violated: {message}\n"
+
+
 def test_hampath_exact_search_honours_the_node_limit(tmp_path, capsys):
     # K_{6,9} fails the degree-sum condition, so the exact search runs;
     # no Hamiltonian path joins two vertices of the small side, and an

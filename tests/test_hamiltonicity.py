@@ -106,6 +106,40 @@ def test_ore_ham_path_agrees_with_exhaustive():
         assert ore_ham_path(g, x, y) is not None
 
 
+def test_path_repair_resumes_its_scan_without_changing_the_result():
+    """After a path exchange every edge up to the repaired position is
+    genuine, so resuming the scan there gives the same path and rotation
+    count as rescanning from the start, as this reference does."""
+
+    def restarting_repair(g: Graph, seq: list[int]) -> tuple[tuple[int, ...], int]:
+        rotations = 0
+        while True:
+            steps = range(len(seq) - 1)
+            bad = next((i for i in steps if not g.has_edge(seq[i], seq[i + 1])), None)
+            if bad is None:
+                return tuple(seq), rotations
+            j = next(
+                j for j in steps
+                if g.has_edge(seq[j], seq[bad]) and g.has_edge(seq[j + 1], seq[bad + 1])
+            )
+            lo, hi = min(bad, j), max(bad, j)
+            seq = seq[: lo + 1] + seq[lo + 1 : hi + 1][::-1] + seq[hi + 1 :]
+            rotations += 1
+
+    rng = random.Random(15)
+    rotated = 0
+    for _ in range(80):
+        n = rng.randrange(5, 41)
+        g = random_ore_graph(rng, n)
+        x, y = rng.sample(range(n), 2)
+        stats = RotationStats()
+        path = ore_ham_path(g, x, y, stats=stats)
+        start = [x] + sorted(set(range(n)) - {x, y}) + [y]
+        assert (path, stats.rotations) == restarting_repair(g, start)
+        rotated += stats.rotations > 1
+    assert rotated >= 40  # most hosts resume the scan at least once
+
+
 def test_ore_ham_path_larger_instance():
     rng = random.Random(14)
     g = random_graph(rng, 50, 0.8)
