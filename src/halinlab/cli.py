@@ -122,14 +122,15 @@ def cmd_solve(args, g: Graph) -> int:
 
 def cmd_hampath(args, g: Graph) -> int:
     budget = SearchBudget(args.node_limit, args.time_limit)
-    hamiltonicity.check_endpoints(g, args.x, args.y)  # before any output
-    pair = hamiltonicity.check_ore_plus(g)
-    if pair is None:
-        print("degree-sum condition: holds (constructive route)")
+    # ore_ham_path checks the endpoints, then the degree-sum condition,
+    # before any output; only a failed condition sends the path to search.
+    try:
         path = hamiltonicity.ore_ham_path(g, args.x, args.y)
-    else:
-        print(f"degree-sum condition: fails at {pair} (exact search)")
+    except hamiltonicity.DegreeSumError as failed:
+        print(f"degree-sum condition: fails at {failed.pair} (exact search)")
         path = ham_path_oracle(g, args.x, args.y, budget)
+    else:
+        print("degree-sum condition: holds (constructive route)")
     if path is None:
         print("no hamiltonian path")
         return EXIT_NEGATIVE

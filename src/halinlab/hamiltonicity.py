@@ -42,6 +42,14 @@ def check_ore_plus(g: Graph) -> tuple[int, int] | None:
     return _light_pair(g, range(g.n), lambda u: -(2 << u), g.n)
 
 
+class DegreeSumError(PreconditionError):
+    """The degree-sum condition fails; `pair` is the first pair that fails it."""
+
+    def __init__(self, pair: tuple[int, int]):
+        self.pair = pair
+        super().__init__(f"degree-sum condition fails at pair {pair}")
+
+
 @dataclass
 class RotationStats:
     rotations: int = 0
@@ -147,7 +155,7 @@ def ore_ham_path(
     check_endpoints(g, x, y)
     pair = check_ore_plus(g)
     if pair is not None:
-        raise PreconditionError(f"degree-sum condition fails at pair {pair}")
+        raise DegreeSumError(pair)
     seq = [x] + sorted(set(range(g.n)) - {x, y}) + [y]
     return _repair(g, seq, cyclic=False, stats=stats)
 

@@ -13,8 +13,8 @@ graph6 cannot encode a bad edge.  Certificate documents are UTF-8 JSON
 records with sorted keys so re-emission is byte-stable; the `_SCHEMAS`
 table describes every kind once, and validation, canonical emission and
 the id range checks all read it.  Validation checks each field across
-all records at once and falls back to a per-item scan, which names the
-first fault, only when that bulk check fails.
+all records at once, tests builtin types in bulk, and walks the values
+one by one only to accept a subclass or to name the first fault.
 """
 
 from __future__ import annotations
@@ -296,9 +296,7 @@ class CertificateDocument:
         if self.kind not in KINDS:  # a tuple: an unhashable kind is unknown too
             raise PreconditionError(f"unknown certificate kind {self.kind!r}")
         schema = _SCHEMAS[self.kind]
-        ids = _bulk_record_ids([self.payload], schema)
-        if ids is None:  # the per-item scan names the first fault
-            ids = _record_ids(self.payload, schema, f"{self.kind} payload")
+        ids = _record_ids([self.payload], schema, f"{self.kind} payload")
         for n in (self.payload[k] for k, shape in schema.items() if shape == "count"):
             if ids and not (0 <= min(ids) and max(ids) < n):
                 raise PreconditionError(f"a vertex id lies outside 0..{n - 1}")
@@ -322,108 +320,77 @@ _SCALARS = {
     "json": lambda v: True,
 }
 
-
-def _record_ids(record, schema: dict, what: str) -> list[int]:
-    """Check a record's fields against `schema`; return the ids it names."""
-    if not isinstance(record, dict):
-        raise PreconditionError(f"{what} must be an object")
-    if record.keys() != schema.keys():
-        raise PreconditionError(f"{what} has fields {list(record)}, expected {list(schema)}")
-    ids: list[int] = []
-    for key, shape in schema.items():
-        ids += _field_ids(record[key], shape, f"{what} field {key!r}")
-    return ids
+_SIZES = {"pair": 2, "pairs": 2, "triples": 3}  # ids per item
 
 
-def _field_ids(value, shape, what: str) -> list[int]:
-    """Check one field against its shape; return the ids it names."""
+def _record_ids(records: list, schema: dict, what: str) -> list[int]:
+    """Check each record's fields against `schema`, one field across all
+    records at a time; return the ids they name.
+
+    Every check passes or fails value by value, so when one fails, some
+    single record fails it: the records are checked again one at a time,
+    in order, and the first faulty record's first fault is raised.
+    """
+    try:
+        if not (
+            set(map(type, records)) <= {dict}
+            and set(map(frozenset, records)) <= {frozenset(schema)}
+        ):
+            for rec in records:
+                if not isinstance(rec, dict):
+                    raise PreconditionError(f"{what} must be an object")
+                if rec.keys() != schema.keys():
+                    raise PreconditionError(
+                        f"{what} has fields {list(rec)}, expected {list(schema)}"
+                    )
+        ids: list[int] = []
+        for key, shape in schema.items():
+            ids += _field_ids([rec[key] for rec in records], shape, f"{what} field {key!r}")
+        return ids
+    except PreconditionError:
+        for rec in records if len(records) > 1 else ():
+            _record_ids([rec], schema, what)
+        raise
+
+
+def _field_ids(values: list, shape, what: str) -> list[int]:
+    """Check one field's value in every record against its shape; return
+    the ids they name.  Each check walks the values one by one, accepting
+    a subclass or naming the first fault, unless a bulk test passes them."""
     if isinstance(shape, dict):
-        return [v for rec in _list(value, what) for v in _record_ids(rec, shape, what)]
+        return _record_ids(_lists(values, what), shape, what)
     if shape in _SCALARS:
-        if not _SCALARS[shape](value):
-            raise PreconditionError(f"{what} is not a valid {shape}: {value!r}")
-        return [value] if shape == "id" else []
-    if shape == "pair":
-        ids = _list(value, what, 2)
-    elif shape in ("pairs", "triples"):
-        size = 2 if shape == "pairs" else 3
-        ids = [v for item in _list(value, what) for v in _list(item, what, size)]
-    else:
-        ids = _list(value, what)
-    bad = [v for v in ids if not _is_int(v)]
-    if bad:
-        raise PreconditionError(f"{what}: vertex id {bad[0]!r} is not an integer")
-    if shape == "pairs" and len(set(map(frozenset, value))) != len(value):
+        # Only an id field holds many values (one per record): other scalars are walked.
+        if shape != "id" or not set(map(type, values)) <= {int}:
+            for value in values:
+                if not _SCALARS[shape](value):
+                    raise PreconditionError(f"{what} is not a valid {shape}: {value!r}")
+        return values if shape == "id" else []
+    lists = _lists(values, what) if shape in ("pairs", "triples") else values
+    ids = _lists(lists, what, _SIZES.get(shape))
+    if not set(map(type, ids)) <= {int}:
+        bad = [v for v in ids if not _is_int(v)]
+        if bad:
+            raise PreconditionError(f"{what}: vertex id {bad[0]!r} is not an integer")
+    if shape == "pairs" and any(len(set(map(frozenset, v))) != len(v) for v in values):
         raise PreconditionError(f"{what} repeats a pair")
-    if shape == "ids" and len(set(ids)) != len(ids):
+    if shape == "ids" and any(len(set(v)) != len(v) for v in values):
         raise PreconditionError(f"{what} repeats an id")
     return ids
 
 
-_SEQUENCES = {list, tuple}
-
-
-def _bulk_record_ids(records: list, schema: dict) -> list[int] | None:
-    """The ids that a list of records names, checked one field at a time
-    across all records; None unless every value is plainly valid.
-
-    "Plainly" means builtin types only: an int or dict subclass, like any
-    fault, sends the caller to the per-item scan, which accepts or names it.
-    """
+def _lists(values: list, what: str, size: int | None = None) -> list:
+    """Check that every value is a list (of `size` items, when given);
+    return their items, concatenated."""
     if not (
-        set(map(type, records)) <= {dict}
-        and set(map(frozenset, records)) <= {frozenset(schema)}
+        set(map(type, values)) <= {list, tuple}
+        and (size is None or set(map(len, values)) <= {size})
     ):
-        return None
-    ids: list[int] = []
-    for key, shape in schema.items():
-        got = _bulk_field_ids([rec[key] for rec in records], shape)
-        if got is None:
-            return None
-        ids += got
-    return ids
-
-
-def _bulk_field_ids(values: list, shape) -> list[int] | None:
-    """`_bulk_record_ids` for one field, given its value in each record."""
-    kinds = set(map(type, values))
-    if isinstance(shape, dict):
-        if not kinds <= _SEQUENCES:
-            return None
-        return _bulk_record_ids(list(chain.from_iterable(values)), shape)
-    if shape in _SCALARS:
-        if shape == "json":
-            return []
-        if not kinds <= ({bool} if shape == "flag" else {int}):
-            return None
-        if shape == "count" and min(values, default=0) < 0:
-            return None
-        return values if shape == "id" else []
-    if not kinds <= _SEQUENCES:
-        return None
-    lists = values
-    if shape in ("pairs", "triples"):
-        lists = list(chain.from_iterable(values))
-        size = 2 if shape == "pairs" else 3
-        if not (set(map(type, lists)) <= _SEQUENCES and set(map(len, lists)) <= {size}):
-            return None
-    elif shape == "pair" and not set(map(len, values)) <= {2}:
-        return None
-    ids = list(chain.from_iterable(lists))
-    if not set(map(type, ids)) <= {int}:
-        return None
-    if shape == "pairs" and any(len(set(map(frozenset, v))) != len(v) for v in values):
-        return None
-    if shape == "ids" and any(len(set(v)) != len(v) for v in values):
-        return None
-    return ids
-
-
-def _list(value, what: str, size: int | None = None) -> list | tuple:
-    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
-        of = f" of {size} ids" if size else ""
-        raise PreconditionError(f"{what}: expected a list{of}, got {value!r}")
-    return value
+        for value in values:
+            if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+                of = f" of {size} ids" if size else ""
+                raise PreconditionError(f"{what}: expected a list{of}, got {value!r}")
+    return list(chain.from_iterable(values))
 
 
 def emit_certificate(doc: CertificateDocument) -> str:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from halinlab import cli
+from halinlab import cli, hamiltonicity
 from halinlab.cli import COMMANDS, OPTIONS, main
 from halinlab.errors import FalsificationError, HalinLabError
 from halinlab.graph import Graph
@@ -240,6 +240,28 @@ def test_hampath_checks_the_endpoints_before_naming_a_route(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"precondition violated: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "graph, x, y, out",
+    [
+        (Graph.complete(6), "1", "4", "degree-sum condition: holds (constructive route)\n"
+                                      "1 0 2 3 5 4\n"),
+        (Graph.path(4), "0", "3", "degree-sum condition: fails at (0, 2) (exact search)\n"
+                                  "0 1 2 3\n"),
+    ],
+    ids=["constructive", "exact-search"],
+)
+def test_hampath_scans_the_degree_sums_once(tmp_path, capsys, monkeypatch, graph, x, y, out):
+    scans = []
+    light_pair = hamiltonicity._light_pair
+    monkeypatch.setattr(hamiltonicity, "_light_pair",
+                        lambda *args: scans.append(args) or light_pair(*args))
+    path = tmp_path / "host.g6"
+    path.write_bytes(emit_graph6(graph) + b"\n")
+    assert main(["hampath", "--graph", str(path), "--x", x, "--y", y]) == 0
+    assert capsys.readouterr() == (out, "")
+    assert len(scans) == 1
 
 
 def test_hampath_exact_search_honours_the_node_limit(tmp_path, capsys):

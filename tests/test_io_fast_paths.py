@@ -1,9 +1,10 @@
 """The graph6 decoder's bit-matrix transpose and the bulk certificate checks.
 
 Both are fast paths under unchanged behaviour: the decoder must agree
-with an independent reading of the format at every row width, and the
-bulk checks must accept, reject and emit exactly what the per-item scan
-does.
+with an independent reading of the format at every row width, and
+certificate validation, which checks each field across all records at
+once, must accept every subclass a one-by-one check accepts and name the
+first fault of the first faulty record, as pinned below.
 """
 
 import hashlib
@@ -61,7 +62,11 @@ def test_wide_hosts_decode_as_networkx_does():
 
 
 class VertexId(int):
-    """An int subclass: a valid id that the bulk checks leave to the scan."""
+    """An int subclass: a valid id that fails the bulk type test."""
+
+
+class Record(dict):
+    """A dict subclass: a valid record that fails the bulk type test."""
 
 
 @pytest.mark.parametrize(
@@ -73,6 +78,12 @@ class VertexId(int):
         ("matching", {"host_n": 5, "arity": 2,
                       "stars": [{"center": VertexId(0), "tips": [1, 2]},
                                 {"center": 3, "tips": [VertexId(4)]}]}),
+        ("matching", Record(host_n=5, arity=2,
+                            stars=[Record(center=0, tips=[1, 2]), {"center": 3, "tips": [4]}])),
+        ("hist", {"host_n": 4, "tree_edges": ((0, 1), [1, 2], (2, VertexId(3))), "spanning": True}),
+        ("sghg", {"host_n": 4, "tree_edges": [(0, 1), (0, 2), (0, 3)], "leaf_cycle": (3, 2, 1)}),
+        ("matching", {"host_n": 5, "arity": 2,
+                      "stars": ({"center": 0, "tips": (1, 2)}, {"center": 3, "tips": (4,)})}),
     ],
 )
 def test_int_subclass_ids_are_accepted(kind, payload):
@@ -103,6 +114,22 @@ def test_int_subclass_ids_are_accepted(kind, payload):
          "a vertex id lies outside 0..3"),
         ("hist", {"host_n": 4, "tree_edges": [[-1, 1]], "spanning": True},
          "a vertex id lies outside 0..3"),
+        # Several stars: the first faulty star's fault is named, even where
+        # a field checked earlier fails only in a later star.
+        ("matching", {"host_n": 6, "arity": 2,
+                      "stars": [{"center": 0, "tips": [1, 1]}, {"center": True, "tips": [3, 4]}]},
+         "matching payload field 'stars' field 'tips' repeats an id"),
+        ("matching", {"host_n": 6, "arity": 2, "stars": [{"center": 0, "tips": 3}, {"center": 2}]},
+         "matching payload field 'stars' field 'tips': expected a list, got 3"),
+        ("matching", {"host_n": 6, "arity": 2,
+                      "stars": [{"center": 0, "tips": [1, False]},
+                                {"center": 3.0, "tips": [4, 4]}]},
+         "matching payload field 'stars' field 'tips': vertex id False is not an integer"),
+        ("matching", {"host_n": 6, "arity": 2, "stars": [{"center": 0, "tips": [1, 2]}, [3, 4]]},
+         "matching payload field 'stars' must be an object"),
+        # Every pair's shape is checked before any id's type.
+        ("hist", {"host_n": 4, "tree_edges": [[0, 1], [True, 2], [3]], "spanning": True},
+         "hist payload field 'tree_edges': expected a list of 2 ids, got [3]"),
     ],
 )
 def test_rejections_name_the_first_fault(kind, payload, message):

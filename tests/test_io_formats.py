@@ -298,41 +298,68 @@ def test_certificate_validation():
         parse_certificate('"just a string"')
 
 
+MALFORMED_PAYLOADS = [
+    ("hist", {"host_n": 3, "tree_edges": [[0]], "spanning": True},
+     "hist payload field 'tree_edges': expected a list of 2 ids, got [0]"),
+    ("hist", {"host_n": 3, "tree_edges": 5, "spanning": True},
+     "hist payload field 'tree_edges': expected a list, got 5"),
+    ("hist", {"host_n": 3, "tree_edges": [[0, "1"]], "spanning": True},
+     "hist payload field 'tree_edges': vertex id '1' is not an integer"),
+    ("hist", {"host_n": "3", "tree_edges": [[0, 1]], "spanning": True},
+     "hist payload field 'host_n' is not a valid count: '3'"),
+    ("sghg", {"host_n": 4, "tree_edges": [[0, 1]], "leaf_cycle": [1, 2.5]},
+     "sghg payload field 'leaf_cycle': vertex id 2.5 is not an integer"),
+    ("matching", {"host_n": 4, "arity": 1, "stars": [{"center": 0}]},
+     "matching payload field 'stars' has fields ['center'], expected ['center', 'tips']"),
+    ("matching", {"host_n": 4, "arity": 1, "stars": [[0, 1]]},
+     "matching payload field 'stars' must be an object"),
+    ("hist", 5, "hist payload must be an object"),
+    (
+        "reduction-trace",
+        {"base_n": 4, "terminals": [0, 3], "z_order": [1, 2],
+         "pendant_ids": [4, 5], "gadget_ids": [[6, 7]], "cycle_edges": []},
+        "reduction-trace payload field 'gadget_ids': expected a list of 3 ids, got [6, 7]",
+    ),
+    ("hist", {"host_n": 3, "tree_edges": [[0, 1]], "spanning": "no"},
+     "hist payload field 'spanning' is not a valid flag: 'no'"),
+    ("matching", {"host_n": 4, "arity": "x", "stars": [{"center": 0, "tips": [1]}]},
+     "matching payload field 'arity' is not a valid int: 'x'"),
+    ("hist", {"host_n": 3, "tree_edges": [[0, 1], [1, 0]], "spanning": True},
+     "hist payload field 'tree_edges' repeats a pair"),
+    ("hist", {"host_n": 3, "tree_edges": [[0, [1]]], "spanning": True},
+     "hist payload field 'tree_edges': vertex id [1] is not an integer"),
+    ("hist", {"host_n": 3, "tree_edges": [], "spanning": True, "extra": 1},
+     "hist payload has fields ['host_n', 'tree_edges', 'spanning', 'extra'], "
+     "expected ['host_n', 'tree_edges', 'spanning']"),
+    ("hist", {"host_n": -1, "tree_edges": [], "spanning": True},
+     "hist payload field 'host_n' is not a valid count: -1"),
+    ("experiment-report", {"parameters": {}, "trials": []},
+     "experiment-report payload has fields ['parameters', 'trials'], "
+     "expected ['parameters', 'trials', 'rates']"),
+    # A repeated id in an id list: read as a set it would pass.
+    ("matching", {"host_n": 3, "arity": 1, "stars": [{"center": 0, "tips": [1, 1]}]},
+     "matching payload field 'stars' field 'tips' repeats an id"),
+    (
+        "reduction-trace",
+        {"base_n": 4, "terminals": [0, 3], "z_order": [1, 1], "pendant_ids": [4, 5],
+         "gadget_ids": [[6, 7, 8], [9, 10, 11]], "cycle_edges": []},
+        "reduction-trace payload field 'z_order' repeats an id",
+    ),
+]
+
+
+# A row is named by its kind and payload alone, so its name does not
+# change with the message it pins.
 @pytest.mark.parametrize(
-    "kind, payload",
-    [
-        ("hist", {"host_n": 3, "tree_edges": [[0]], "spanning": True}),
-        ("hist", {"host_n": 3, "tree_edges": 5, "spanning": True}),
-        ("hist", {"host_n": 3, "tree_edges": [[0, "1"]], "spanning": True}),
-        ("hist", {"host_n": "3", "tree_edges": [[0, 1]], "spanning": True}),
-        ("sghg", {"host_n": 4, "tree_edges": [[0, 1]], "leaf_cycle": [1, 2.5]}),
-        ("matching", {"host_n": 4, "arity": 1, "stars": [{"center": 0}]}),
-        ("matching", {"host_n": 4, "arity": 1, "stars": [[0, 1]]}),
-        ("hist", 5),
-        (
-            "reduction-trace",
-            {"base_n": 4, "terminals": [0, 3], "z_order": [1, 2],
-             "pendant_ids": [4, 5], "gadget_ids": [[6, 7]], "cycle_edges": []},
-        ),
-        ("hist", {"host_n": 3, "tree_edges": [[0, 1]], "spanning": "no"}),
-        ("matching", {"host_n": 4, "arity": "x", "stars": [{"center": 0, "tips": [1]}]}),
-        ("hist", {"host_n": 3, "tree_edges": [[0, 1], [1, 0]], "spanning": True}),
-        ("hist", {"host_n": 3, "tree_edges": [[0, [1]]], "spanning": True}),
-        ("hist", {"host_n": 3, "tree_edges": [], "spanning": True, "extra": 1}),
-        ("hist", {"host_n": -1, "tree_edges": [], "spanning": True}),
-        ("experiment-report", {"parameters": {}, "trials": []}),
-        # A repeated id in an id list: read as a set it would pass.
-        ("matching", {"host_n": 3, "arity": 1, "stars": [{"center": 0, "tips": [1, 1]}]}),
-        (
-            "reduction-trace",
-            {"base_n": 4, "terminals": [0, 3], "z_order": [1, 1], "pendant_ids": [4, 5],
-             "gadget_ids": [[6, 7, 8], [9, 10, 11]], "cycle_edges": []},
-        ),
-    ],
+    "kind, payload, message",
+    MALFORMED_PAYLOADS,
+    ids=[f"{kind}-{payload}" if isinstance(payload, int) else f"{kind}-payload{i}"
+         for i, (kind, payload, _) in enumerate(MALFORMED_PAYLOADS)],
 )
-def test_certificate_validation_rejects_malformed_payloads(kind, payload):
-    with pytest.raises(PreconditionError):
+def test_certificate_validation_rejects_malformed_payloads(kind, payload, message):
+    with pytest.raises(PreconditionError) as err:
         CertificateDocument(kind, payload).validate()
+    assert str(err.value) == message
 
 
 @st.composite
